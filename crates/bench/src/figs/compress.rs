@@ -18,6 +18,13 @@
 //! before any size or timing is reported. A mismatch fails the run and the
 //! `compress-smoke` CI job wrapping it. Results land in
 //! `BENCH_compress.json`.
+//!
+//! Cold timings are the best of [`COLD_PASSES`] passes per format, taken
+//! alternately, each on a freshly opened store (an empty column cache; the
+//! OS page cache is warm, so a pass costs syscalls + CRC + decode +
+//! evaluation, not seeks). The quantized row is gated: v3 reads 4× fewer
+//! bytes there and may not take more than [`MAX_ZIPF_COLD_RATIO`] × the
+//! v2 time. The uniform row's ratio is printed, not gated.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -38,6 +45,17 @@ const CACHE_BYTES: usize = 64 << 20;
 
 /// The acceptance gate on the quantized row (see module docs).
 const MIN_ZIPF_RATIO: f64 = 2.0;
+
+/// Cold passes per format; the minimum is reported.
+const COLD_PASSES: usize = 5;
+
+/// Gate on the quantized row's `v3_cold_ms / v2_cold_ms`. Before the
+/// word-at-a-time Elias-Fano decode this ratio was 1.25; it now measures
+/// 1.05–1.08 (decoding ~270-value columns still costs ~0.5 µs more than
+/// copying them raw, and with the files in the page cache the 4× fewer
+/// bytes buy back only their CRC). The bound sits between the two so a
+/// return of the old decode cost fails CI while run-to-run noise does not.
+const MAX_ZIPF_COLD_RATIO: f64 = 1.15;
 
 /// Re-measures every record from a Zipf-skewed quantized domain:
 /// `0.5 + 0.5·k` for Zipf-sampled level `k` — about two dozen distinct
@@ -130,8 +148,17 @@ fn measure(dataset: &'static str, store: &GraphStore, queries: &[GraphQuery]) ->
             .expect("save v3");
 
     let want = truth(store, queries);
-    let (v2_answers, v2_cold_ms, v2_stats) = cold_pass(&dir_v2, queries);
-    let (v3_answers, v3_cold_ms, v3_stats) = cold_pass(&dir_v3, queries);
+    let mut v2 = cold_pass(&dir_v2, queries);
+    let mut v3 = cold_pass(&dir_v3, queries);
+    for _ in 1..COLD_PASSES {
+        for (best, dir) in [(&mut v2, &dir_v2), (&mut v3, &dir_v3)] {
+            let (answers, ms, _) = cold_pass(dir, queries);
+            assert!(answers == best.0, "a repeated cold pass changed an answer");
+            best.1 = best.1.min(ms);
+        }
+    }
+    let (v2_answers, v2_cold_ms, v2_stats) = v2;
+    let (v3_answers, v3_cold_ms, v3_stats) = v3;
     let _ = std::fs::remove_dir_all(&base);
 
     Row {
@@ -147,7 +174,8 @@ fn measure(dataset: &'static str, store: &GraphStore, queries: &[GraphQuery]) ->
 }
 
 /// Runs the benchmark; returns `false` when any compressed-path answer
-/// differed from raw, or the quantized dataset missed the 2× size gate.
+/// differed from raw, or the quantized dataset missed the 2× size gate or
+/// the cold-time gate.
 pub fn run() -> bool {
     let d = ny(4_000);
     let queries = zipf_queries(&d, 80);
@@ -197,6 +225,16 @@ pub fn run() -> bool {
     let identical = rows.iter().all(|r| r.identical);
     let zipf_ratio_ok = rows[0].ratio() >= MIN_ZIPF_RATIO;
     let never_grows = rows.iter().all(|r| r.v3_bytes <= r.v2_bytes);
+    let cold_ratio = |r: &Row| r.v3_cold_ms / r.v2_cold_ms;
+    let zipf_cold_ok = cold_ratio(&rows[0]) <= MAX_ZIPF_COLD_RATIO;
+    for r in &rows {
+        println!(
+            "{}: v3/v2 cold time {:.2}x for {:.2}x fewer bytes read",
+            r.dataset,
+            cold_ratio(r),
+            r.v2_read_bytes as f64 / r.v3_read_bytes.max(1) as f64
+        );
+    }
     if !identical {
         println!("FAIL: a compressed-path answer differed from raw");
     }
@@ -209,11 +247,18 @@ pub fn run() -> bool {
     if !never_grows {
         println!("FAIL: v3 produced more bytes than v2 on some dataset");
     }
+    if !zipf_cold_ok {
+        println!(
+            "FAIL: quantized v3 cold pass {:.2}x the v2 pass, above the {MAX_ZIPF_COLD_RATIO}x gate",
+            cold_ratio(&rows[0])
+        );
+    }
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"compress\",");
     let _ = writeln!(json, "  \"identical\": {identical},");
     let _ = writeln!(json, "  \"zipf_ratio_ok\": {zipf_ratio_ok},");
+    let _ = writeln!(json, "  \"zipf_cold_ok\": {zipf_cold_ok},");
     let _ = writeln!(json, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -239,7 +284,7 @@ pub fn run() -> bool {
     std::fs::write(&out, &json).expect("write benchmark point");
     println!("wrote {out}");
 
-    identical && zipf_ratio_ok && never_grows
+    identical && zipf_ratio_ok && never_grows && zipf_cold_ok
 }
 
 #[cfg(test)]

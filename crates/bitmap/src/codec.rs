@@ -29,8 +29,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bitmap::Bitmap;
-use crate::container::{words_from_array, Container, Run, Words, ARRAY_MAX, WORDS};
-use crate::intcodec::{gamma_bit_len, BitReader, BitWriter, EliasFano, PackedInts};
+use crate::container::{Container, Run, Words, ARRAY_MAX, WORDS};
+use crate::intcodec::{gamma_bit_len, BitReader, BitWriter, EfView, EliasFano, PackedInts};
 
 const MAGIC: u32 = 0x4742_4D31;
 
@@ -67,16 +67,81 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Reads a length-framed v3 container payload (tags 3–5).
-fn framed_payload(buf: &mut impl Buf) -> Result<Bytes, DecodeError> {
-    if buf.remaining() < 4 {
+/// Splits `len` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], DecodeError> {
+    if buf.len() < len {
         return Err(DecodeError::Truncated);
     }
-    let plen = buf.get_u32_le() as usize;
-    if buf.remaining() < plen {
-        return Err(DecodeError::Truncated);
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Reads a `u32` count and splits off the `count × elem`-byte body it
+/// announces (the framing of tags 0 and 2, and with `elem = 1` of the
+/// length-framed v3 payloads, tags 3–5).
+fn take_counted<'a>(buf: &mut &'a [u8], elem: usize) -> Result<&'a [u8], DecodeError> {
+    let count = take(buf, 4)?;
+    let count = u32::from_le_bytes(count.try_into().expect("4 bytes")) as usize;
+    take(buf, count.checked_mul(elem).ok_or(DecodeError::Truncated)?)
+}
+
+fn u16_at(pair: &[u8]) -> u16 {
+    u16::from_le_bytes([pair[0], pair[1]])
+}
+
+/// Decodes a tag 3 (Elias-Fano) payload straight into a container: bits
+/// are set in `Words` (or `u16`s pushed, at array cardinalities) as the
+/// high vector is scanned, with no intermediate sequence.
+fn decode_ef(payload: &[u8]) -> Result<Container, DecodeError> {
+    let Some(ef) = EfView::parse(payload) else {
+        return Err(DecodeError::Corrupt("malformed elias-fano payload"));
+    };
+    let card = ef.len();
+    if card == 0 || card > 1 << 16 {
+        return Err(DecodeError::Corrupt("elias-fano cardinality out of range"));
     }
-    Ok(buf.copy_to_bytes(plen))
+    // Strictly increasing values below 65_536: every emitted value is a
+    // distinct bit, so `card` emitted values are `card` set bits.
+    let mut floor = 0u64;
+    let mut checked = |v: u64| {
+        if v > 0xffff {
+            return Err(DecodeError::Corrupt("elias-fano value out of chunk range"));
+        }
+        if v < floor {
+            return Err(DecodeError::Corrupt(
+                "elias-fano values not strictly increasing",
+            ));
+        }
+        floor = v + 1;
+        Ok(v as u16)
+    };
+    let (container, emitted) = if card <= ARRAY_MAX {
+        let mut vals: Vec<u16> = Vec::with_capacity(card);
+        let emitted = ef.try_for_each(|v| checked(v).map(|v| vals.push(v)))?;
+        (Container::Array(vals), emitted)
+    } else {
+        // Values only increase, so each output word is complete before the
+        // next begins: build it in a register and store it once.
+        let mut w = Words::empty();
+        let (mut at, mut word) = (0usize, 0u64);
+        let emitted = ef.try_for_each(|v| {
+            let v = checked(v)?;
+            if usize::from(v >> 6) != at {
+                w.bits[at] = word;
+                (at, word) = (usize::from(v >> 6), 0);
+            }
+            word |= 1u64 << (v & 63);
+            Ok(())
+        })?;
+        w.bits[at] = word;
+        w.card = card as u32;
+        (Container::Words(w), emitted)
+    };
+    if emitted != card {
+        return Err(DecodeError::Corrupt("elias-fano high bits exhausted early"));
+    }
+    Ok(container)
 }
 
 /// Writes a container in its raw (v2) form: tag 0/1/2 plus body.
@@ -271,51 +336,42 @@ impl Bitmap {
     /// Decodes a bitmap previously produced by [`Bitmap::encode`], consuming
     /// its bytes from the front of `buf`.
     pub fn decode(buf: &mut impl Buf) -> Result<Bitmap, DecodeError> {
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let magic = buf.get_u32_le();
+        // Decode in place from the buffer's (contiguous) unread bytes and
+        // consume what was used; nothing is copied out of `buf` first.
+        let chunk = buf.chunk();
+        let mut rest = chunk;
+        let head = take(&mut rest, 8)?;
+        let magic = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
         if magic != MAGIC {
             return Err(DecodeError::BadMagic(magic));
         }
-        let nkeys = buf.get_u32_le() as usize;
+        let nkeys = u32::from_le_bytes(head[4..].try_into().expect("4 bytes")) as usize;
         let mut out = Bitmap::new();
         let mut prev_key: Option<u16> = None;
         for _ in 0..nkeys {
-            if buf.remaining() < 3 {
-                return Err(DecodeError::Truncated);
-            }
-            let key = buf.get_u16_le();
+            let head = take(&mut rest, 3)?;
+            let key = u16_at(head);
             if prev_key.is_some_and(|p| p >= key) {
                 return Err(DecodeError::Corrupt("keys not strictly increasing"));
             }
             prev_key = Some(key);
-            let tag = buf.get_u8();
+            let tag = head[2];
             let container = match tag {
                 0 => {
-                    if buf.remaining() < 4 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len * 2 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let mut a = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        a.push(buf.get_u16_le());
-                    }
+                    let a: Vec<u16> = take_counted(&mut rest, 2)?
+                        .chunks_exact(2)
+                        .map(u16_at)
+                        .collect();
                     if a.is_empty() || a.windows(2).any(|w| w[0] >= w[1]) {
                         return Err(DecodeError::Corrupt("array container not sorted/non-empty"));
                     }
                     Container::Array(a)
                 }
                 1 => {
-                    if buf.remaining() < WORDS * 8 {
-                        return Err(DecodeError::Truncated);
-                    }
+                    let body = take(&mut rest, WORDS * 8)?;
                     let mut w = Words::empty();
-                    for word in w.bits.iter_mut() {
-                        *word = buf.get_u64_le();
+                    for (word, le) in w.bits.iter_mut().zip(body.chunks_exact(8)) {
+                        *word = u64::from_le_bytes(le.try_into().expect("8 bytes"));
                     }
                     w.recount();
                     if w.card == 0 {
@@ -324,19 +380,13 @@ impl Bitmap {
                     Container::Words(w)
                 }
                 2 => {
-                    if buf.remaining() < 4 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len * 4 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let mut rs = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let start = buf.get_u16_le();
-                        let rlen = buf.get_u16_le();
-                        rs.push(Run { start, len: rlen });
-                    }
+                    let rs: Vec<Run> = take_counted(&mut rest, 4)?
+                        .chunks_exact(4)
+                        .map(|r| Run {
+                            start: u16_at(r),
+                            len: u16_at(&r[2..]),
+                        })
+                        .collect();
                     let sorted = rs
                         .windows(2)
                         .all(|w| u32::from(w[0].end()) + 1 < u32::from(w[1].start))
@@ -346,45 +396,10 @@ impl Bitmap {
                     }
                     Container::Runs(rs)
                 }
-                3 => {
-                    let payload = framed_payload(buf)?;
-                    let Some(ef) = EliasFano::from_bytes(&payload) else {
-                        return Err(DecodeError::Corrupt("malformed elias-fano payload"));
-                    };
-                    let card = ef.len();
-                    if card == 0 || card > 1 << 16 {
-                        return Err(DecodeError::Corrupt("elias-fano cardinality out of range"));
-                    }
-                    let mut vals: Vec<u16> = Vec::with_capacity(card);
-                    let mut cur = ef.cursor();
-                    let mut prev: Option<u16> = None;
-                    while let Some(v) = cur.next() {
-                        if v > 0xffff {
-                            return Err(DecodeError::Corrupt(
-                                "elias-fano value out of chunk range",
-                            ));
-                        }
-                        let v = v as u16;
-                        if prev.is_some_and(|p| p >= v) {
-                            return Err(DecodeError::Corrupt(
-                                "elias-fano values not strictly increasing",
-                            ));
-                        }
-                        prev = Some(v);
-                        vals.push(v);
-                    }
-                    if vals.len() != card {
-                        return Err(DecodeError::Corrupt("elias-fano high bits exhausted early"));
-                    }
-                    if card <= ARRAY_MAX {
-                        Container::Array(vals)
-                    } else {
-                        Container::Words(words_from_array(&vals))
-                    }
-                }
+                3 => decode_ef(take_counted(&mut rest, 1)?)?,
                 4 => {
-                    let payload = framed_payload(buf)?;
-                    let mut r = BitReader::new(&payload);
+                    let payload = take_counted(&mut rest, 1)?;
+                    let mut r = BitReader::new(payload);
                     let truncated = DecodeError::Corrupt("gamma runs truncated");
                     let nruns = r.read_gamma().ok_or(truncated.clone())? as usize;
                     if nruns > MAX_RUNS {
@@ -416,12 +431,12 @@ impl Bitmap {
                     Container::Runs(rs)
                 }
                 5 => {
-                    let payload = framed_payload(buf)?;
+                    let payload = take_counted(&mut rest, 1)?;
                     if payload.len() < 5 {
                         return Err(DecodeError::Corrupt("frame-of-reference header truncated"));
                     }
-                    let count = u16::from_le_bytes([payload[0], payload[1]]) as usize;
-                    let base = u16::from_le_bytes([payload[2], payload[3]]);
+                    let count = u16_at(payload) as usize;
+                    let base = u16_at(&payload[2..]);
                     let width = u32::from(payload[4]);
                     if count == 0 || count > ARRAY_MAX || width > 16 {
                         return Err(DecodeError::Corrupt(
@@ -466,6 +481,8 @@ impl Bitmap {
             };
             out.push_container(key, container);
         }
+        let used = chunk.len() - rest.len();
+        buf.advance(used);
         Ok(out)
     }
 

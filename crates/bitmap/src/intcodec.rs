@@ -10,8 +10,8 @@
 //!   indices.
 //! * [`EliasFano`] — the quasi-succinct encoding of monotone sequences
 //!   (Elias 1974, Fano 1971; see the partitioned variant in Ottaviano &
-//!   Venturini). Supports streaming iteration, `next_geq` skipping, and
-//!   [`gallop_intersect`] directly over two encoded sequences.
+//!   Venturini). [`EfView`] decodes a serialized sequence in place, a
+//!   64-bit word of the high vector at a time.
 //!
 //! Every decoder is bounds-checked and returns `None` on malformed input:
 //! these run on bytes read off disk, sometimes with checksum verification
@@ -30,24 +30,21 @@ fn mask(width: u32) -> u64 {
 /// Reads `width <= 64` bits at bit offset `pos`, LSB-first. Bits past the
 /// end of `bytes` read as zero — callers bound `pos + width` themselves
 /// when the distinction matters.
+#[inline]
 fn read_bits(bytes: &[u8], pos: usize, width: u32) -> u64 {
     if width == 0 {
         return 0;
     }
-    let first = pos / 8;
-    let bit = pos % 8;
-    let nbytes = (bit + width as usize).div_ceil(8);
-    let mut acc: u128 = 0;
-    for i in 0..nbytes {
-        acc |= u128::from(bytes.get(first + i).copied().unwrap_or(0)) << (8 * i);
+    let (first, bit) = (pos / 8, pos % 8);
+    // One unaligned 8-byte load covers the value unless it is wider than
+    // 57 bits or sits within 8 bytes of the end of the buffer.
+    match bytes.get(first..first + 8) {
+        Some(window) if bit + width as usize <= 64 => {
+            let w = u64::from_le_bytes(window.try_into().expect("8-byte window"));
+            (w >> bit) & mask(width)
+        }
+        _ => crate::kernels::read_bits_portable(bytes, pos, width),
     }
-    ((acc >> bit) as u64) & mask(width)
-}
-
-fn get_bit(bytes: &[u8], pos: usize) -> bool {
-    bytes
-        .get(pos / 8)
-        .is_some_and(|b| b & (1 << (pos % 8)) != 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +286,6 @@ impl PackedInts {
 pub struct EliasFano {
     n: usize,
     last: u64,
-    low_width: u32,
     lows: PackedInts,
     high: Vec<u8>,
 }
@@ -331,7 +327,6 @@ impl EliasFano {
         EliasFano {
             n,
             last,
-            low_width: l,
             lows: PackedInts::pack(&lows, l),
             high,
         }
@@ -370,190 +365,126 @@ impl EliasFano {
         out
     }
 
-    /// Deserializes bytes written by [`EliasFano::to_bytes`]. `None` when
-    /// the buffer is not exactly one well-formed sequence.
-    pub fn from_bytes(bytes: &[u8]) -> Option<EliasFano> {
-        let n = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        if n == 0 {
-            if bytes.len() != 4 {
-                return None;
-            }
-            return Some(EliasFano::encode(&[]));
-        }
-        let last = u64::from_le_bytes(bytes.get(4..12)?.try_into().ok()?);
-        let l = ef_low_width(n, last);
-        let low_bytes = PackedInts::byte_len(n, l);
-        let high_bytes = ((last >> l) as usize + n).div_ceil(8);
-        if bytes.len() != 12 + low_bytes + high_bytes {
-            return None;
-        }
-        let lows = PackedInts::from_bytes(&bytes[12..12 + low_bytes], l, n)?;
-        let high = bytes[12 + low_bytes..].to_vec();
-        Some(EliasFano {
-            n,
-            last,
-            low_width: l,
-            lows,
-            high,
-        })
-    }
-
-    fn high_bit_len(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            (self.last >> self.low_width) as usize + self.n
-        }
-    }
-
-    /// A streaming cursor at the first element.
-    pub fn cursor(&self) -> EfCursor<'_> {
-        EfCursor {
-            ef: self,
-            idx: 0,
-            pos: 0,
-        }
-    }
-
-    /// Decodes the whole sequence.
+    /// Decodes the whole sequence (through its serialized form, so this
+    /// is the same routine that reads sequences off disk).
     pub fn to_vec(&self) -> Vec<u64> {
+        let bytes = self.to_bytes();
+        let view = EfView::parse(&bytes).expect("own serialization parses");
         let mut out = Vec::with_capacity(self.n);
-        let mut c = self.cursor();
-        while let Some(v) = c.next() {
+        let _ = view.try_for_each(|v| {
             out.push(v);
-        }
+            Ok::<(), ()>(())
+        });
         out
     }
 }
 
-/// Streaming decoder over an [`EliasFano`] sequence: forward-only, with
-/// skip-capable [`EfCursor::next_geq`].
-pub struct EfCursor<'a> {
-    ef: &'a EliasFano,
-    /// Next element index.
-    idx: usize,
-    /// Next unexamined bit in the high vector.
-    pos: usize,
+/// A serialized Elias-Fano sequence (the [`EliasFano::to_bytes`] layout)
+/// borrowed in place: parsing checks the framing and copies nothing, and
+/// [`EfView::try_for_each`] decodes straight out of the borrowed bytes.
+pub struct EfView<'a> {
+    n: usize,
+    low_width: u32,
+    lows: &'a [u8],
+    high: &'a [u8],
+    /// Meaningful bits of `high`; the rest of its last byte is padding.
+    high_bits: usize,
 }
 
-impl<'a> EfCursor<'a> {
-    /// The next value without consuming it. `None` at the end of the
-    /// sequence — including corrupt encodings whose high vector runs out
-    /// of set bits early.
-    pub fn peek(&mut self) -> Option<u64> {
-        if self.idx >= self.ef.n {
+impl<'a> EfView<'a> {
+    /// Parses `bytes`. `None` when the buffer is not exactly one
+    /// well-formed sequence (every length is derived from the header's
+    /// `n` and `last`, and must add up to `bytes.len()`).
+    pub fn parse(bytes: &'a [u8]) -> Option<EfView<'a>> {
+        let n = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+        if n == 0 {
+            return (bytes.len() == 4).then_some(EfView {
+                n,
+                low_width: 0,
+                lows: &[],
+                high: &[],
+                high_bits: 0,
+            });
+        }
+        let last = u64::from_le_bytes(bytes.get(4..12)?.try_into().ok()?);
+        let low_width = ef_low_width(n, last);
+        let low_bytes = PackedInts::byte_len(n, low_width);
+        let high_bits = (last >> low_width) as usize + n;
+        if bytes.len() != 12 + low_bytes + high_bits.div_ceil(8) {
             return None;
         }
-        let total = self.ef.high_bit_len();
-        loop {
-            if self.pos >= total {
-                return None;
-            }
-            // Skip whole zero bytes between clusters.
-            if self.pos.is_multiple_of(8) {
-                while self.pos + 8 <= total && self.ef.high[self.pos / 8] == 0 {
-                    self.pos += 8;
-                }
-                if self.pos >= total {
-                    return None;
-                }
-            }
-            if get_bit(&self.ef.high, self.pos) {
-                break;
-            }
-            self.pos += 1;
-        }
-        let zeros = (self.pos - self.idx) as u64;
-        Some((zeros << self.ef.low_width) | self.ef.lows.get(self.idx))
+        let (lows, high) = bytes[12..].split_at(low_bytes);
+        Some(EfView {
+            n,
+            low_width,
+            lows,
+            high,
+            high_bits,
+        })
     }
 
-    /// Consumes and returns the next value.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<u64> {
-        let v = self.peek()?;
-        self.pos += 1;
-        self.idx += 1;
-        Some(v)
+    /// Number of values the header declares.
+    pub fn len(&self) -> usize {
+        self.n
     }
 
-    /// Consumes values up to and including the first one `>= target` and
-    /// returns it, skipping whole bytes of the high vector while the
-    /// target's high bucket is still ahead — the sublinear jump galloping
-    /// intersection relies on. Like [`EfCursor::next`], the returned value
-    /// is consumed.
-    pub fn next_geq(&mut self, target: u64) -> Option<u64> {
-        let hb = target >> self.ef.low_width;
-        let total = self.ef.high_bit_len();
-        // Every element before the hb-th zero has a high bucket < hb; skip
-        // byte-wise while a whole byte's zeros still leave us short of it.
-        while self.pos < total && self.idx < self.ef.n {
-            let zeros_so_far = (self.pos - self.idx) as u64;
-            if zeros_so_far >= hb {
-                break;
-            }
-            let off = self.pos % 8;
-            let rest = self.ef.high[self.pos / 8] >> off;
-            let nbits = (8 - off).min(total - self.pos);
-            let ones = (u32::from(rest) & mask(nbits as u32) as u32).count_ones() as usize;
-            let zeros_in_rest = (nbits - ones) as u64;
-            if zeros_so_far + zeros_in_rest < hb {
-                self.pos += nbits;
-                self.idx += ones;
-            } else {
-                // The boundary zero lies inside this byte: single-bit step.
-                if get_bit(&self.ef.high, self.pos) {
-                    self.idx += 1;
-                }
-                self.pos += 1;
-            }
-        }
-        loop {
-            let v = self.next()?;
-            if v >= target {
-                return Some(v);
-            }
-        }
+    /// True when the sequence is empty.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
     }
-}
 
-/// Intersects two Elias-Fano sequences by alternating [`EfCursor::next_geq`]
-/// jumps — the galloping intersection kernel running directly on the
-/// compressed form, without materializing either side.
-pub fn gallop_intersect(a: &EliasFano, b: &EliasFano) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut ca = a.cursor();
-    let mut cb = b.cursor();
-    let (Some(mut va), Some(mut vb)) = (ca.next(), cb.next()) else {
-        return out;
-    };
-    loop {
-        match va.cmp(&vb) {
-            std::cmp::Ordering::Equal => {
-                out.push(va);
-                match (ca.next(), cb.next()) {
-                    (Some(x), Some(y)) => {
-                        va = x;
-                        vb = y;
-                    }
-                    _ => break,
+    /// Hands the values to `emit` in order, stopping at its first error,
+    /// and returns how many were emitted. That is `len()` for a
+    /// well-formed sequence and fewer when a corrupt high vector runs out
+    /// of set bits early — never more, and never a panic.
+    ///
+    /// The high vector is scanned a 64-bit word at a time: each set bit
+    /// is one element (`trailing_zeros` finds it, `w & (w - 1)` clears
+    /// it), its position minus its index is the high half, and the low
+    /// half is one fixed-width read.
+    pub fn try_for_each<E>(&self, mut emit: impl FnMut(u64) -> Result<(), E>) -> Result<usize, E> {
+        let width = self.low_width;
+        // Whole words of meaningful bits, then one masked word for the
+        // rest: everything past `high_bits` is padding.
+        let (whole, rest) = self.high.split_at(self.high_bits / 64 * 8);
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        let tail = u64::from_le_bytes(tail) & mask((self.high_bits % 64) as u32);
+        let mut idx = 0usize;
+        let mut low_pos = 0usize;
+        for i in 0..=whole.len() / 8 {
+            let mut word = match whole.get(i * 8..i * 8 + 8) {
+                Some(w) => u64::from_le_bytes(w.try_into().expect("8 bytes")),
+                None => tail,
+            };
+            while word != 0 {
+                if idx == self.n {
+                    return Ok(idx);
                 }
+                let zeros = (i * 64 + word.trailing_zeros() as usize - idx) as u64;
+                emit((zeros << width) | read_bits(self.lows, low_pos, width))?;
+                idx += 1;
+                low_pos += width as usize;
+                word &= word - 1;
             }
-            std::cmp::Ordering::Less => match ca.next_geq(vb) {
-                Some(x) => va = x,
-                None => break,
-            },
-            std::cmp::Ordering::Greater => match cb.next_geq(va) {
-                Some(x) => vb = x,
-                None => break,
-            },
         }
+        Ok(idx)
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn view_to_vec(bytes: &[u8]) -> Option<Vec<u64>> {
+        let view = EfView::parse(bytes)?;
+        let mut out = Vec::new();
+        let _ = view.try_for_each(|v| {
+            out.push(v);
+            Ok::<(), ()>(())
+        });
+        Some(out)
+    }
 
     #[test]
     fn bit_stream_round_trips_mixed_widths() {
@@ -644,45 +575,19 @@ mod tests {
                 bytes.len(),
                 EliasFano::encoded_byte_len(values.len(), values.last().copied().unwrap_or(0))
             );
-            let back = EliasFano::from_bytes(&bytes).unwrap();
-            assert_eq!(back.to_vec(), values);
+            assert_eq!(view_to_vec(&bytes), Some(values));
         }
     }
 
     #[test]
-    fn elias_fano_from_bytes_rejects_bad_lengths() {
+    fn ef_view_rejects_bad_lengths() {
         let ef = EliasFano::encode(&[5, 10, 20]);
         let bytes = ef.to_bytes();
-        assert!(EliasFano::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(EfView::parse(&bytes[..bytes.len() - 1]).is_none());
         let mut extra = bytes.clone();
         extra.push(0);
-        assert!(EliasFano::from_bytes(&extra).is_none());
-        assert!(EliasFano::from_bytes(&[]).is_none());
-    }
-
-    #[test]
-    fn next_geq_skips_correctly() {
-        let values: Vec<u64> = (0..5_000u64).map(|i| i * 7 + 3).collect();
-        let ef = EliasFano::encode(&values);
-        let mut c = ef.cursor();
-        assert_eq!(c.next_geq(0), Some(3));
-        assert_eq!(c.next(), Some(10));
-        assert_eq!(c.next_geq(100), Some(101)); // 14*7+3
-        assert_eq!(c.next_geq(34_995), Some(34_996)); // penultimate
-        assert_eq!(c.next_geq(40_000), None);
-    }
-
-    #[test]
-    fn gallop_intersect_matches_naive() {
-        let a: Vec<u64> = (0..3_000u64).map(|i| i * 5).collect();
-        let b: Vec<u64> = (0..2_500u64).map(|i| i * 7).collect();
-        let ea = EliasFano::encode(&a);
-        let eb = EliasFano::encode(&b);
-        let got = gallop_intersect(&ea, &eb);
-        let naive: Vec<u64> = a.iter().copied().filter(|v| v % 7 == 0).collect();
-        assert_eq!(got, naive);
-        assert_eq!(gallop_intersect(&eb, &ea), naive);
-        assert!(gallop_intersect(&ea, &EliasFano::encode(&[])).is_empty());
+        assert!(EfView::parse(&extra).is_none());
+        assert!(EfView::parse(&[]).is_none());
     }
 
     #[test]
@@ -694,9 +599,8 @@ mod tests {
         for b in &mut bytes[n - 2..] {
             *b = 0;
         }
-        if let Some(back) = EliasFano::from_bytes(&bytes) {
-            let decoded = back.to_vec();
-            assert!(decoded.len() <= 5);
+        if let Some(decoded) = view_to_vec(&bytes) {
+            assert!(decoded.len() < 5);
         }
     }
 }

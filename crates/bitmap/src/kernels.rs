@@ -604,8 +604,12 @@ fn width_mask(width: u32) -> u64 {
 }
 
 /// Byte-at-a-time bit read used near buffer boundaries; bits past the end
-/// of `bytes` read as zero (the `BitWriter` zero-pads its last byte).
-fn read_bits_portable(bytes: &[u8], pos: usize, width: u32) -> u64 {
+/// of `bytes` read as zero (the `BitWriter` zero-pads its last byte). Kept
+/// out of line so the windowed fast paths that fall back to it stay a
+/// handful of instructions in the loops that inline them.
+#[cold]
+#[inline(never)]
+pub(crate) fn read_bits_portable(bytes: &[u8], pos: usize, width: u32) -> u64 {
     if width == 0 {
         return 0;
     }

@@ -30,9 +30,7 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-pub use graphbi_bitmap::intcodec::{
-    gallop_intersect, gamma_bit_len, BitReader, BitWriter, EfCursor, EliasFano, PackedInts,
-};
+pub use graphbi_bitmap::intcodec::{gamma_bit_len, BitReader, BitWriter, EliasFano, PackedInts};
 use graphbi_bitmap::kernels;
 
 use crate::StoreError;
@@ -47,6 +45,17 @@ pub const VALUES_DICT: u8 = 1;
 
 /// Dictionary entries beyond this never pay for themselves against raw.
 const DICT_MAX: usize = 1 << 24;
+
+/// Consumes `n` little-endian f64s from the front of `buf`, converting
+/// in place from its unread bytes. The caller has checked `remaining()`.
+fn take_f64s(n: usize, buf: &mut impl Buf) -> Vec<f64> {
+    let values = buf.chunk()[..n * 8]
+        .chunks_exact(8)
+        .map(|le| f64::from_le_bytes(le.try_into().expect("8 bytes")))
+        .collect();
+    buf.advance(n * 8);
+    values
+}
 
 /// A measure vector: raw, or dictionary-coded exactly as loaded from a v3
 /// values block. All readers go through [`Measures::get`]/[`Measures::iter`],
@@ -172,11 +181,7 @@ impl Measures {
         if buf.remaining() < n * 8 {
             return Err(StoreError::Format("value block truncated"));
         }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(buf.get_f64_le());
-        }
-        Ok(Measures::Raw(values))
+        Ok(Measures::Raw(take_f64s(n, buf)))
     }
 
     /// Writes the v3 value block (tag + payload), dictionary-coding when
@@ -245,10 +250,7 @@ impl Measures {
                 if buf.remaining() < ndict * 8 + 1 {
                     return Err(StoreError::Format("dict values truncated"));
                 }
-                let mut dict = Vec::with_capacity(ndict);
-                for _ in 0..ndict {
-                    dict.push(buf.get_f64_le());
-                }
+                let dict = take_f64s(ndict, buf);
                 let width = u32::from(buf.get_u8());
                 if width > 32 {
                     return Err(StoreError::Format("dict index width out of range"));
@@ -257,10 +259,10 @@ impl Measures {
                 if buf.remaining() < packed_len {
                     return Err(StoreError::Format("dict indices truncated"));
                 }
-                let packed_bytes = buf.copy_to_bytes(packed_len);
-                let Some(indices) = PackedInts::from_bytes(&packed_bytes, width, n) else {
+                let Some(indices) = PackedInts::from_bytes(buf.chunk(), width, n) else {
                     return Err(StoreError::Format("dict indices malformed"));
                 };
+                buf.advance(packed_len);
                 // Validate every index against the dictionary bound,
                 // block-decoding through the dispatched unpack kernel.
                 let mut ib = [0u64; UNPACK_BLOCK];

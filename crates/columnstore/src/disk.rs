@@ -22,7 +22,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, Bytes};
+use bytes::Buf;
 use graphbi_bitmap::Bitmap;
 use graphbi_graph::EdgeId;
 use parking_lot::Mutex;
@@ -204,8 +204,7 @@ impl DiskRelation {
                 let vlens =
                     PackedInts::from_bytes(&header[10 + bl_bytes..10 + bl_bytes + vl_bytes], wv, n)
                         .ok_or_else(|| corrupt(&path, "partition directory truncated"))?;
-                let mut crcs =
-                    Bytes::copy_from_slice(&header[10 + bl_bytes + vl_bytes..header_len]);
+                let mut crcs = &header[10 + bl_bytes + vl_bytes..header_len];
                 let mut offset = (header_len + 4) as u64;
                 for i in 0..n {
                     let bitmap_len = blens.get(i);
@@ -234,7 +233,7 @@ impl DiskRelation {
             if crc32(&header[..header_len]) != dir_crc {
                 return Err(corrupt(&path, "partition directory checksum mismatch"));
             }
-            let mut buf = Bytes::copy_from_slice(&header[4..header_len]);
+            let mut buf = &header[4..header_len];
             let mut offset = (header_len + 4) as u64;
             for _ in 0..n {
                 let bitmap_len = buf.get_u64_le();
@@ -409,7 +408,7 @@ impl DiskRelation {
             stats.disk_reads += 1;
             stats.disk_bytes += loc.bitmap_len;
             this.check(&path, &bytes, loc.bitmap_crc, "bitmap checksum mismatch")?;
-            let mut buf = Bytes::from(bytes);
+            let mut buf = bytes.as_slice();
             Ok((Payload::Bitmap(Bitmap::decode(&mut buf)?), loc.bitmap_len))
         })?;
         Ok(BitmapRef(payload))
@@ -446,7 +445,7 @@ impl DiskRelation {
                 loc.values_crc,
                 "values checksum mismatch",
             )?;
-            let mut buf = Bytes::from(bytes);
+            let mut buf = bytes.as_slice();
             let presence = Bitmap::decode(&mut buf)?;
             let col = if loc.values_tagged {
                 SparseColumn::decode_values_v3(presence, &mut buf)?
@@ -468,7 +467,7 @@ impl DiskRelation {
             stats.disk_reads += 1;
             stats.disk_bytes += len;
             this.check(&path, &bytes, crc, "view block checksum mismatch")?;
-            let mut buf = Bytes::from(bytes);
+            let mut buf = bytes.as_slice();
             Ok((Payload::Bitmap(Bitmap::decode(&mut buf)?), len))
         })?;
         Ok(BitmapRef(payload))
@@ -484,7 +483,7 @@ impl DiskRelation {
             stats.disk_reads += 1;
             stats.disk_bytes += len;
             this.check(&path, &bytes, crc, "view block checksum mismatch")?;
-            let mut buf = Bytes::from(bytes);
+            let mut buf = bytes.as_slice();
             let col = if this.views_v3 {
                 SparseColumn::decode_v3(&mut buf)?
             } else {

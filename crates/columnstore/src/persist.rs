@@ -563,7 +563,7 @@ fn decode_part(
     edge_count: usize,
     columns: &mut Vec<SparseColumn>,
 ) -> Result<(), StoreError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut buf = bytes;
     if buf.remaining() < 4 {
         return Err(corrupt(path, "partition file truncated"));
     }
@@ -599,13 +599,14 @@ fn decode_part(
         if buf.remaining() < blen + vlen {
             return Err(corrupt(path, "column bytes truncated"));
         }
-        let mut bitmap_bytes = buf.copy_to_bytes(blen);
-        if verify == Verify::Checksums && crc32(&bitmap_bytes) != bcrc {
+        let (mut bitmap_bytes, rest) = buf.split_at(blen);
+        let (mut value_bytes, rest) = rest.split_at(vlen);
+        buf = rest;
+        if verify == Verify::Checksums && crc32(bitmap_bytes) != bcrc {
             return Err(corrupt(path, "bitmap checksum mismatch"));
         }
         let presence = Bitmap::decode(&mut bitmap_bytes)?;
-        let mut value_bytes = buf.copy_to_bytes(vlen);
-        if verify == Verify::Checksums && crc32(&value_bytes) != vcrc {
+        if verify == Verify::Checksums && crc32(value_bytes) != vcrc {
             return Err(corrupt(path, "values checksum mismatch"));
         }
         columns.push(SparseColumn::decode_values(presence, &mut value_bytes)?);
@@ -646,8 +647,8 @@ fn decode_part_v3(
         .ok_or_else(|| corrupt(path, "partition directory truncated"))?;
     let vlens = PackedInts::from_bytes(&bytes[10 + bl_bytes..10 + bl_bytes + vl_bytes], wv, n)
         .ok_or_else(|| corrupt(path, "partition directory truncated"))?;
-    let mut crcs = Bytes::copy_from_slice(&bytes[10 + bl_bytes + vl_bytes..header_len]);
-    let mut buf = Bytes::copy_from_slice(&bytes[header_len + 4..]);
+    let mut crcs = &bytes[10 + bl_bytes + vl_bytes..header_len];
+    let mut buf = &bytes[header_len + 4..];
     for i in 0..n {
         let bcrc = crcs.get_u32_le();
         let vcrc = crcs.get_u32_le();
@@ -658,13 +659,14 @@ fn decode_part_v3(
         if buf.remaining() < blen + vlen {
             return Err(corrupt(path, "column bytes truncated"));
         }
-        let mut bitmap_bytes = buf.copy_to_bytes(blen);
-        if verify == Verify::Checksums && crc32(&bitmap_bytes) != bcrc {
+        let (mut bitmap_bytes, rest) = buf.split_at(blen);
+        let (mut value_bytes, rest) = rest.split_at(vlen);
+        buf = rest;
+        if verify == Verify::Checksums && crc32(bitmap_bytes) != bcrc {
             return Err(corrupt(path, "bitmap checksum mismatch"));
         }
         let presence = Bitmap::decode(&mut bitmap_bytes)?;
-        let mut value_bytes = buf.copy_to_bytes(vlen);
-        if verify == Verify::Checksums && crc32(&value_bytes) != vcrc {
+        if verify == Verify::Checksums && crc32(value_bytes) != vcrc {
             return Err(corrupt(path, "values checksum mismatch"));
         }
         columns.push(SparseColumn::decode_values_v3(presence, &mut value_bytes)?);
@@ -693,14 +695,14 @@ fn decode_views(path: &Path, bytes: &[u8], verify: Verify) -> Result<ViewBlocks,
     Ok((bitmaps, aggs))
 }
 
-fn block(
+fn block<'a>(
     path: &Path,
-    bytes: &[u8],
+    bytes: &'a [u8],
     off: u64,
     len: u64,
     crc: u32,
     verify: Verify,
-) -> Result<Bytes, StoreError> {
+) -> Result<&'a [u8], StoreError> {
     let off = usize::try_from(off).map_err(|_| corrupt(path, "view block too large"))?;
     let len = usize::try_from(len).map_err(|_| corrupt(path, "view block too large"))?;
     let Some(slice) = off.checked_add(len).and_then(|end| bytes.get(off..end)) else {
@@ -709,7 +711,7 @@ fn block(
     if verify == Verify::Checksums && crc32(slice) != crc {
         return Err(corrupt(path, "view block checksum mismatch"));
     }
-    Ok(Bytes::copy_from_slice(slice))
+    Ok(slice)
 }
 
 /// The parsed views-file directory: `(offset, length, crc)` per block.
@@ -728,7 +730,7 @@ pub(crate) fn parse_views_directory(
     path: &Path,
     bytes: &[u8],
 ) -> Result<ViewsDirectory, StoreError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut buf = bytes;
     if buf.remaining() < 4 {
         return Err(corrupt(path, "views file truncated"));
     }
@@ -808,7 +810,7 @@ pub(crate) fn read_sidecar_at(
 ) -> Result<Vec<u8>, StoreError> {
     let path = dir.join(sidecar_file_name(generation, name));
     let bytes = vfs.read(&path).map_err(|e| open_read_err(&path, e))?;
-    let mut buf = Bytes::from(bytes);
+    let mut buf = bytes.as_slice();
     if buf.remaining() < 12 {
         return Err(corrupt(&path, "sidecar frame truncated"));
     }
@@ -820,8 +822,8 @@ pub(crate) fn read_sidecar_at(
     if buf.remaining() < len {
         return Err(corrupt(&path, "sidecar payload truncated"));
     }
-    let payload = buf.copy_to_bytes(len);
-    if crc32(&payload) != crc {
+    let payload = &buf[..len];
+    if crc32(payload) != crc {
         return Err(corrupt(&path, "sidecar checksum mismatch"));
     }
     Ok(payload.to_vec())

@@ -663,54 +663,13 @@ pub fn os_vfs() -> VfsHandle {
     Arc::new(OsVfs)
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE) of `bytes` — the checksum guarding every on-disk payload.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
+/// CRC32 (IEEE) — the checksum guarding every on-disk payload. One
+/// implementation serves the whole workspace; it lives in `graphbi_obs`.
+pub use graphbi_obs::crc32;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check values for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414f_a339
-        );
-    }
 
     #[test]
     fn faultvfs_round_trips_and_ranges() {

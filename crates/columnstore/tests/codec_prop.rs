@@ -4,9 +4,7 @@
 //! to the raw path. No tolerance anywhere: compression is a storage
 //! transform, not an approximation.
 
-use graphbi_bitmap::intcodec::EliasFano;
 use graphbi_bitmap::Bitmap;
-use graphbi_columnstore::codec::gallop_intersect;
 use graphbi_columnstore::{ColumnBuilder, SparseColumn};
 
 /// Deterministic xorshift64* — fixed-seed adversarial inputs, no flaky
@@ -146,46 +144,6 @@ fn bitmap_answers_are_identical_through_v3() {
             assert_eq!(da.and_not(&db), a.and_not(b), "{na} andnot {nb}");
             assert_eq!(da.and_len(&db), a.and_len(b), "{na} and_len {nb}");
         }
-    }
-}
-
-/// The fused kernel: galloping intersection directly over two Elias-Fano
-/// sequences (no materialization) agrees exactly with the sorted-vector
-/// intersection computed in plain code.
-#[test]
-fn elias_fano_gallop_matches_plain_intersection() {
-    let mut rng = Rng(0x009a_110b);
-    let mut cases: Vec<(Vec<u64>, Vec<u64>)> = vec![
-        (vec![], vec![]),
-        (vec![5], vec![5]),
-        (vec![5], vec![6]),
-        ((0..1000).collect(), (500..1500).collect()),
-        (
-            (0..1000).map(|i| i * 3).collect(),
-            (0..1000).map(|i| i * 7).collect(),
-        ),
-        (vec![0, u64::from(u32::MAX)], vec![u64::from(u32::MAX)]),
-    ];
-    for _ in 0..20 {
-        let gen = |rng: &mut Rng| {
-            let mut v: Vec<u64> = (0..rng.below(800)).map(|_| rng.below(10_000)).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let a = gen(&mut rng);
-        let b = gen(&mut rng);
-        cases.push((a, b));
-    }
-    for (a, b) in cases {
-        let ea = EliasFano::encode(&a);
-        let eb = EliasFano::encode(&b);
-        let got = gallop_intersect(&ea, &eb);
-        let want: Vec<u64> = a.iter().copied().filter(|v| b.contains(v)).collect();
-        assert_eq!(got, want, "a={a:?} b={b:?}");
-        // And the sequences themselves round-trip through their bytes.
-        let bytes = ea.to_bytes();
-        assert_eq!(EliasFano::from_bytes(&bytes).unwrap().to_vec(), a);
     }
 }
 

@@ -32,9 +32,12 @@
 //! [`json::parse`]). Counters and histogram cells saturate on overflow —
 //! the same semantics as `IoStats::merge`.
 
+mod crc;
 pub mod flight;
 pub mod json;
 pub mod slowlog;
+
+pub use crc::crc32;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

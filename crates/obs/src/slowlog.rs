@@ -17,36 +17,7 @@
 /// misrouted file is detected as torn at frame zero.
 pub const SLOWLOG_MAGIC: u32 = 0x4742_534c;
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven — bit-identical
-/// to `graphbi_columnstore::vfs::crc32`, re-derived here because `obs`
-/// depends on nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: [u32; 256] = table();
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
+pub use crate::crc32;
 
 /// Encodes one line as a self-checking frame ready to append. Any
 /// trailing newline is part of the payload the caller chose; none is
@@ -91,13 +62,6 @@ pub fn read_lines(bytes: &[u8]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // IEEE CRC32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn lines_round_trip() {

@@ -332,22 +332,22 @@ fn concurrent_connections_share_batches() {
     let reqs = workload(&scenario);
     let expected = expected_texts(&shared, &reqs);
 
-    let server = Server::start(
+    let mut server = Server::start(
         ServeStore::Shared(shared),
         "127.0.0.1:0",
         ServeConfig {
             // A small stall per batch lets concurrent arrivals pile up
             // behind the first, forcing multi-request batches.
             batch_delay: Duration::from_millis(3),
+            // The `graphbi_serve_*` counters are process-global and every
+            // test in this binary bumps them concurrently; this server's
+            // own collector sees only this server's `serve.batch` spans.
+            trace: true,
             ..ServeConfig::default()
         },
     )
     .expect("server starts");
     let addr = server.addr();
-
-    let reg = graphbi_obs::global();
-    let batches_before = reg.counter("graphbi_serve_batches_total").get();
-    let requests_before = reg.counter("graphbi_serve_batched_requests_total").get();
 
     let threads: Vec<_> = (0..6)
         .map(|t| {
@@ -367,8 +367,11 @@ fn concurrent_connections_share_batches() {
         t.join().expect("client thread");
     }
 
-    let batches = reg.counter("graphbi_serve_batches_total").get() - batches_before;
-    let served = reg.counter("graphbi_serve_batched_requests_total").get() - requests_before;
+    // Joining the batcher guarantees its last span has been recorded.
+    server.shutdown();
+    let trace = server.collector().expect("trace enabled").trace();
+    let batches = trace.count("serve.batch");
+    let served = trace.sum_attr("serve.batch", "size");
     assert_eq!(served, 24, "every request went through the batcher");
     assert!(
         batches < served,
