@@ -58,6 +58,7 @@ pub mod errcode;
 mod explain;
 mod groups;
 pub mod mvcc;
+pub mod numtext;
 pub mod parallel;
 pub mod ql;
 mod session;

@@ -6,10 +6,15 @@
 //!
 //! Round-trip is lossless *by construction*: the emitters print only
 //! canonical forms ([`GraphQuery`] edge lists are already sorted and
-//! deduplicated; floats print in Rust's shortest exact representation,
-//! which `f64::from_str` reads back bit-identically, `NaN`/`inf`
-//! included), so `parse_text(to_text(x))` rebuilds `x` without a
-//! normalization pass.
+//! deduplicated; floats print in Rust's shortest exact representation
+//! through [`crate::numtext`], which `f64::from_str` reads back
+//! bit-identically, `NaN`/`inf` included), so `parse_text(to_text(x))`
+//! rebuilds `x` without a normalization pass. The response parser admits
+//! only that canonical layout — one space between tokens, integers
+//! without sign or leading zeros, ascending match ids in full chunks, a
+//! final newline — so what it accepts re-renders to the bytes it read;
+//! the one latitude is inside a measure token, which may be any spelling
+//! `f64::from_str` reads.
 //!
 //! # Grammar
 //!
@@ -35,17 +40,22 @@
 
 use std::str::FromStr;
 
-use graphbi_bitmap::Bitmap;
+use graphbi_bitmap::BitmapBuilder;
 use graphbi_graph::{
     AggFn, EdgeId, GraphQuery, PathAggQuery, PathAggResult, QueryExpr, QueryResult,
 };
 
 use crate::engine::EvalOptions;
+use crate::numtext::{write_f64, write_u64};
 use crate::session::{QueryRequest, RequestKind, Response};
 
 /// Match-id chunking: `matches` blocks print at most this many record ids
 /// per `m` line, keeping lines short for log-friendliness.
 const MATCH_CHUNK: usize = 512;
+
+/// Most elements a response parser reserves room for on the word of a
+/// header's `n=` alone; a larger block grows as its rows arrive.
+const MAX_RESERVE: usize = 1 << 16;
 
 /// A wire-grammar violation: which line failed and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,21 +83,31 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Formats a measure so that parsing it back is bit-identical: Rust's
-/// shortest-exact float formatting, with `NaN`/`inf`/`-inf` spelled the
-/// way [`f64::from_str`] accepts.
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
 fn parse_f64(tok: &str, line: usize) -> Result<f64, WireError> {
     f64::from_str(tok).map_err(|_| WireError::new(line, format!("bad float {tok:?}")))
 }
 
+/// Parses a canonical unsigned decimal: digits only, no leading zero.
+fn parse_uint<T: TryFrom<u64>>(tok: &str) -> Option<T> {
+    let digits = tok.as_bytes();
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    let mut v = 0u64;
+    for &c in digits {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    T::try_from(v).ok()
+}
+
 fn parse_edge(tok: &str, line: usize) -> Result<EdgeId, WireError> {
-    tok.parse::<u32>()
+    parse_uint(tok)
         .map(EdgeId)
-        .map_err(|_| WireError::new(line, format!("bad edge id {tok:?}")))
+        .ok_or_else(|| WireError::new(line, format!("bad edge id {tok:?}")))
 }
 
 /// Parses a `key=value` token, insisting on the expected key — the
@@ -100,8 +120,7 @@ fn parse_kv<'a>(tok: Option<&'a str>, key: &str, line: usize) -> Result<&'a str,
 }
 
 fn parse_usize(tok: &str, line: usize) -> Result<usize, WireError> {
-    tok.parse::<usize>()
-        .map_err(|_| WireError::new(line, format!("bad count {tok:?}")))
+    parse_uint(tok).ok_or_else(|| WireError::new(line, format!("bad count {tok:?}")))
 }
 
 fn atom_token(q: &GraphQuery) -> String {
@@ -279,55 +298,74 @@ impl QueryRequest {
     }
 }
 
+/// Appends one `r <rid> <value>*` line per record.
+fn write_rows<'a>(out: &mut Vec<u8>, records: &[u32], row: impl Fn(usize) -> &'a [f64]) {
+    for (i, &rid) in records.iter().enumerate() {
+        out.extend_from_slice(b"r ");
+        write_u64(out, u64::from(rid));
+        for &v in row(i) {
+            out.push(b' ');
+            write_f64(out, v);
+        }
+        out.push(b'\n');
+    }
+}
+
 impl Response {
-    /// Renders the response as a self-delimiting block of grammar lines
-    /// (trailing newline included).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+    /// Appends the response as a self-delimiting block of grammar lines
+    /// (trailing newline included) — the one renderer behind
+    /// [`Response::to_text`] and every served reply.
+    pub fn write_text(&self, out: &mut Vec<u8>) {
         match self {
             Response::Records(r) => {
-                let _ = write!(out, "records n={} edges", r.records.len());
+                out.extend_from_slice(b"records n=");
+                write_u64(out, r.records.len() as u64);
+                out.extend_from_slice(b" edges");
                 for e in &r.edges {
-                    let _ = write!(out, " {}", e.0);
+                    out.push(b' ');
+                    write_u64(out, u64::from(e.0));
                 }
-                out.push('\n');
-                for (i, &rid) in r.records.iter().enumerate() {
-                    let _ = write!(out, "r {rid}");
-                    for v in r.row(i) {
-                        let _ = write!(out, " {}", fmt_f64(*v));
-                    }
-                    out.push('\n');
-                }
+                out.push(b'\n');
+                write_rows(out, &r.records, |i| r.row(i));
             }
             Response::Matches(b) => {
-                let _ = writeln!(out, "matches n={}", b.len());
-                let ids: Vec<u32> = b.iter().collect();
-                for chunk in ids.chunks(MATCH_CHUNK) {
-                    out.push('m');
-                    for id in chunk {
-                        let _ = write!(out, " {id}");
+                out.extend_from_slice(b"matches n=");
+                write_u64(out, b.len());
+                out.push(b'\n');
+                let mut in_line = 0;
+                for id in b.iter() {
+                    if in_line == 0 {
+                        out.push(b'm');
                     }
-                    out.push('\n');
+                    out.push(b' ');
+                    write_u64(out, u64::from(id));
+                    in_line += 1;
+                    if in_line == MATCH_CHUNK {
+                        out.push(b'\n');
+                        in_line = 0;
+                    }
+                }
+                if in_line != 0 {
+                    out.push(b'\n');
                 }
             }
             Response::Aggregates(r) => {
-                let _ = writeln!(
-                    out,
-                    "aggregates n={} paths={}",
-                    r.records.len(),
-                    r.path_count
-                );
-                for (i, &rid) in r.records.iter().enumerate() {
-                    let _ = write!(out, "r {rid}");
-                    for v in r.row(i) {
-                        let _ = write!(out, " {}", fmt_f64(*v));
-                    }
-                    out.push('\n');
-                }
+                out.extend_from_slice(b"aggregates n=");
+                write_u64(out, r.records.len() as u64);
+                out.extend_from_slice(b" paths=");
+                write_u64(out, r.path_count as u64);
+                out.push(b'\n');
+                write_rows(out, &r.records, |i| r.row(i));
             }
         }
-        out
+    }
+
+    /// Renders the response as a self-delimiting block of grammar lines
+    /// (trailing newline included).
+    pub fn to_text(&self) -> String {
+        let mut out = Vec::new();
+        self.write_text(&mut out);
+        String::from_utf8(out).expect("wire text is ASCII")
     }
 
     /// Number of grammar lines [`Response::to_text`] produces — what a
@@ -345,33 +383,35 @@ impl Response {
     /// Parses exactly one response block; the text must contain nothing
     /// else.
     pub fn parse_text(text: &str) -> Result<Response, WireError> {
-        let mut lines = text.lines();
+        let mut lines = text.split_terminator('\n');
         let mut lineno = 0usize;
         let resp = Response::read_block(&mut lines, &mut lineno)?;
-        match lines.next() {
-            None => Ok(resp),
-            Some(extra) => Err(WireError::new(
+        if let Some(extra) = lines.next() {
+            return Err(WireError::new(
                 lineno + 1,
                 format!("trailing content {extra:?}"),
-            )),
+            ));
         }
+        if !text.ends_with('\n') {
+            return Err(WireError::new(lineno, "missing final newline"));
+        }
+        Ok(resp)
     }
 
     /// Reads one self-delimiting response block from a line stream,
     /// leaving the stream positioned after it — `BATCH` answers are
     /// parsed by calling this once per request. `lineno` counts consumed
-    /// lines for error reporting.
+    /// lines for error reporting. Lines are walked byte-wise: tokens are
+    /// what single spaces separate, so a doubled or trailing space leaves
+    /// an empty token that no field accepts.
     pub fn read_block<'a, I>(lines: &mut I, lineno: &mut usize) -> Result<Response, WireError>
     where
         I: Iterator<Item = &'a str>,
     {
         let head = next_line(lines, lineno, "expected response header")?;
         let head_no = *lineno;
-        let mut toks = head.split_whitespace();
-        let verb = toks
-            .next()
-            .ok_or_else(|| WireError::new(head_no, "empty response header"))?;
-        match verb {
+        let mut toks = head.split(' ');
+        match toks.next().unwrap_or_default() {
             "records" => {
                 let n = parse_usize(parse_kv(toks.next(), "n", head_no)?, head_no)?;
                 match toks.next() {
@@ -383,17 +423,10 @@ impl Response {
                         ))
                     }
                 }
-                let mut edges = Vec::new();
-                for tok in toks {
-                    edges.push(parse_edge(tok, head_no)?);
-                }
-                let mut records = Vec::with_capacity(n);
-                let mut measures = Vec::with_capacity(n * edges.len());
-                for _ in 0..n {
-                    let row = next_line(lines, lineno, "expected 'r' row")?;
-                    let rid = parse_row(row, "r", 1 + edges.len(), *lineno, &mut measures)?;
-                    records.push(rid);
-                }
+                let edges = toks
+                    .map(|tok| parse_edge(tok, head_no))
+                    .collect::<Result<Vec<EdgeId>, WireError>>()?;
+                let (records, measures) = read_rows(lines, lineno, n, edges.len())?;
                 Ok(Response::Records(QueryResult {
                     records,
                     edges,
@@ -402,47 +435,48 @@ impl Response {
             }
             "matches" => {
                 let n = parse_usize(parse_kv(toks.next(), "n", head_no)?, head_no)?;
-                if let Some(extra) = toks.next() {
-                    return Err(WireError::new(head_no, format!("trailing token {extra:?}")));
-                }
-                let mut ids: Vec<u32> = Vec::with_capacity(n);
-                while ids.len() < n {
+                end_of_header(toks, head_no)?;
+                // Ids must ascend strictly, which is what lets the bitmap
+                // be built by appending.
+                let mut ids = BitmapBuilder::new();
+                let mut last: Option<u32> = None;
+                let mut got = 0usize;
+                while got < n {
                     let row = next_line(lines, lineno, "expected 'm' row")?;
-                    let mut row_toks = row.split_whitespace();
+                    let mut row_toks = row.split(' ');
                     if row_toks.next() != Some("m") {
                         return Err(WireError::new(*lineno, "expected 'm' row"));
                     }
-                    let before = ids.len();
+                    let want = (n - got).min(MATCH_CHUNK);
+                    let before = got;
                     for tok in row_toks {
-                        ids.push(tok.parse::<u32>().map_err(|_| {
+                        let id: u32 = parse_uint(tok).ok_or_else(|| {
                             WireError::new(*lineno, format!("bad record id {tok:?}"))
-                        })?);
+                        })?;
+                        if last.is_some_and(|l| l >= id) {
+                            return Err(WireError::new(
+                                *lineno,
+                                format!("record id {id} does not ascend"),
+                            ));
+                        }
+                        last = Some(id);
+                        ids.push(id);
+                        got += 1;
                     }
-                    if ids.len() == before || ids.len() - before > MATCH_CHUNK {
-                        return Err(WireError::new(*lineno, "bad 'm' chunk size"));
+                    if got - before != want {
+                        return Err(WireError::new(
+                            *lineno,
+                            format!("'m' row holds {} ids, expected {want}", got - before),
+                        ));
                     }
                 }
-                if ids.len() != n {
-                    return Err(WireError::new(
-                        *lineno,
-                        format!("match count mismatch: {} != {n}", ids.len()),
-                    ));
-                }
-                Ok(Response::Matches(ids.into_iter().collect::<Bitmap>()))
+                Ok(Response::Matches(ids.finish()))
             }
             "aggregates" => {
                 let n = parse_usize(parse_kv(toks.next(), "n", head_no)?, head_no)?;
                 let paths = parse_usize(parse_kv(toks.next(), "paths", head_no)?, head_no)?;
-                if let Some(extra) = toks.next() {
-                    return Err(WireError::new(head_no, format!("trailing token {extra:?}")));
-                }
-                let mut records = Vec::with_capacity(n);
-                let mut values = Vec::with_capacity(n * paths);
-                for _ in 0..n {
-                    let row = next_line(lines, lineno, "expected 'r' row")?;
-                    let rid = parse_row(row, "r", 1 + paths, *lineno, &mut values)?;
-                    records.push(rid);
-                }
+                end_of_header(toks, head_no)?;
+                let (records, values) = read_rows(lines, lineno, n, paths)?;
                 Ok(Response::Aggregates(PathAggResult {
                     records,
                     path_count: paths,
@@ -457,6 +491,17 @@ impl Response {
     }
 }
 
+/// Insists that a header has no tokens left.
+fn end_of_header<'a>(
+    mut toks: impl Iterator<Item = &'a str>,
+    line: usize,
+) -> Result<(), WireError> {
+    match toks.next() {
+        None => Ok(()),
+        Some(extra) => Err(WireError::new(line, format!("trailing token {extra:?}"))),
+    }
+}
+
 /// Consumes one line from the stream, bumping the line counter.
 fn next_line<'a, I>(lines: &mut I, lineno: &mut usize, what: &str) -> Result<&'a str, WireError>
 where
@@ -468,42 +513,56 @@ where
         .ok_or_else(|| WireError::new(*lineno, format!("unexpected end of block: {what}")))
 }
 
-/// Parses one `r <rid> <float>*` row with an exact token count, pushing
-/// the floats onto `out` and returning the record id.
-fn parse_row(
-    row: &str,
-    tag: &str,
+/// Reads `n` rows of `r <rid>` followed by exactly `width` floats,
+/// returning the record ids and the row-major values. The header's counts
+/// are untrusted: they bound the reservation, never set it.
+fn read_rows<'a, I>(
+    lines: &mut I,
+    lineno: &mut usize,
+    n: usize,
     width: usize,
-    lineno: usize,
-    out: &mut Vec<f64>,
-) -> Result<u32, WireError> {
-    let mut toks = row.split_whitespace();
-    if toks.next() != Some(tag) {
-        return Err(WireError::new(lineno, format!("expected {tag:?} row")));
+) -> Result<(Vec<u32>, Vec<f64>), WireError>
+where
+    I: Iterator<Item = &'a str>,
+{
+    let cells = n
+        .checked_mul(width)
+        .ok_or_else(|| WireError::new(*lineno, format!("{n} rows of {width} overflow")))?;
+    let mut records = Vec::with_capacity(n.min(MAX_RESERVE));
+    let mut values = Vec::with_capacity(cells.min(MAX_RESERVE));
+    for _ in 0..n {
+        let row = next_line(lines, lineno, "expected 'r' row")?;
+        let mut toks = row.split(' ');
+        if toks.next() != Some("r") {
+            return Err(WireError::new(*lineno, "expected \"r\" row"));
+        }
+        let rid = toks
+            .next()
+            .and_then(parse_uint)
+            .ok_or_else(|| WireError::new(*lineno, "bad record id"))?;
+        let before = values.len();
+        for tok in toks {
+            values.push(parse_f64(tok, *lineno)?);
+        }
+        if values.len() - before != width {
+            return Err(WireError::new(
+                *lineno,
+                format!(
+                    "row holds {} values, expected {width}",
+                    values.len() - before
+                ),
+            ));
+        }
+        records.push(rid);
     }
-    let rid = toks
-        .next()
-        .ok_or_else(|| WireError::new(lineno, "row missing record id"))?
-        .parse::<u32>()
-        .map_err(|_| WireError::new(lineno, "bad record id"))?;
-    let mut got = 1usize;
-    for tok in toks {
-        out.push(parse_f64(tok, lineno)?);
-        got += 1;
-    }
-    if got != width {
-        return Err(WireError::new(
-            lineno,
-            format!("row width {got} != {width}"),
-        ));
-    }
-    Ok(rid)
+    Ok((records, values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::QueryRequest;
+    use graphbi_bitmap::Bitmap;
 
     fn q(ids: &[u32]) -> GraphQuery {
         GraphQuery::from_edges(ids.iter().map(|&i| EdgeId(i)).collect())
@@ -606,7 +665,10 @@ mod tests {
             edges: vec![EdgeId(0)],
             measures: vec![2.25],
         });
-        let stream = format!("{}{}", a.to_text(), b.to_text());
+        let mut stream = Vec::new();
+        a.write_text(&mut stream);
+        b.write_text(&mut stream);
+        let stream = String::from_utf8(stream).unwrap();
         let mut lines = stream.lines();
         let mut lineno = 0;
         let got_a = Response::read_block(&mut lines, &mut lineno).unwrap();
@@ -627,6 +689,25 @@ mod tests {
             "matches n=1\nz 1\n",
             "aggregates n=1 paths=1\nr x 1.0\n",
             "records n=0 edges\nextra\n",
+            // Hostile counts: a typed error, not a capacity-overflow abort.
+            "records n=18446744073709551615 edges 0\n",
+            "records n=18446744073709551615 edges 0 1\nr 1 1.0 2.0\n",
+            "aggregates n=2 paths=18446744073709551615\nr 1 1.0\n",
+            "aggregates n=18446744073709551615 paths=18446744073709551615\n",
+            "matches n=18446744073709551615\nm 1 2\n",
+            // Non-canonical text the value would not re-render to.
+            "matches n=3\nm 3 1 1\n",
+            "matches n=2\nm 2 1\n",
+            "matches n=2\nm 1 1\n",
+            "matches n=2\nm 1\nm 2\n",
+            "matches n=2\nm 1  2\n",
+            "matches n=2\nm 01 2\n",
+            "matches n=+2\nm 1 2\n",
+            "matches n=2\nm 1 2 \n",
+            "matches n=2\nm 1 2\r\n",
+            "matches n=2\nm 1 2",
+            "records n=1 edges  0\nr 1 2.0\n",
+            "records n=1 edges 0\nr 1  2.0\n",
         ] {
             assert!(Response::parse_text(bad).is_err(), "{bad:?}");
         }

@@ -3,11 +3,13 @@
 //! `Client::connect` performs the `HELLO` handshake and caches the
 //! served [`Universe`], so QL statements can be compiled locally with
 //! [`Client::query_ql`] and commit ops can name edges symbolically.
-//! Every method sends one verb frame and parses exactly one status
-//! frame; `BUSY` and `ERR` surface as typed [`ClientError`] variants
-//! carrying the server's stable [`ErrorCode`] number.
+//! Every method sends one verb frame — built whole, written once — and
+//! parses exactly one status frame; `BUSY` and `ERR` surface as typed
+//! [`ClientError`] variants carrying the server's stable [`ErrorCode`]
+//! number. A reply body is read into one reused buffer and parsed in
+//! place.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -73,14 +75,26 @@ struct OkHead {
     id: Option<u64>,
 }
 
+/// Socket read buffer: a 150 KB reply body arrives in three reads.
+const READ_BUF_BYTES: usize = 64 << 10;
+
 /// One connection to a `graphbi` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request frame under assembly; leaves in one `write_all`.
+    frame: String,
+    /// The reply being read — a status line, then a body — reused from
+    /// one call to the next.
+    reply: Vec<u8>,
     universe: Universe,
     generation: u64,
     epoch: u64,
     last_rid: Option<u64>,
+}
+
+fn as_text(bytes: &[u8]) -> Result<&str, ClientError> {
+    std::str::from_utf8(bytes).map_err(|_| ClientError::Protocol("reply is not UTF-8".into()))
 }
 
 impl Client {
@@ -90,18 +104,17 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = Client {
-            reader: BufReader::new(stream.try_clone()?),
+            reader: BufReader::with_capacity(READ_BUF_BYTES, stream.try_clone()?),
             writer: stream,
+            frame: String::new(),
+            reply: Vec::new(),
             universe: Universe::default(),
             generation: 0,
             epoch: 0,
             last_rid: None,
         };
-        writeln!(client.writer, "HELLO {PROTOCOL_VERSION}")?;
-        client.writer.flush()?;
-        let head = client.read_head()?;
-        let body = client.read_lines(head.lines)?;
-        client.universe = Universe::parse_text(&body)
+        let head = client.request(format_args!("HELLO {PROTOCOL_VERSION}"))?;
+        client.universe = Universe::parse_text(client.read_body(head.lines)?)
             .map_err(|e| ClientError::Protocol(format!("bad universe in HELLO reply: {e}")))?;
         client.note_pin(&head);
         Ok(client)
@@ -139,23 +152,32 @@ impl Client {
         }
     }
 
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+    /// Appends one `\n`-terminated line to `self.reply`.
+    fn read_line(&mut self) -> Result<(), ClientError> {
+        self.reader.read_until(b'\n', &mut self.reply)?;
+        if self.reply.last() != Some(&b'\n') {
             return Err(ClientError::Protocol(
                 "connection closed mid-response".into(),
             ));
         }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
+        Ok(())
     }
 
-    /// Reads one status frame; `OK` parses into a head, `ERR`/`BUSY`
+    /// Sends the frame assembled in `self.frame` in one write, then reads
+    /// the one status frame that answers it.
+    fn exchange(&mut self) -> Result<OkHead, ClientError> {
+        self.writer.write_all(self.frame.as_bytes())?;
+        self.reply.clear();
+        self.read_line()?;
+        let reply = std::mem::take(&mut self.reply);
+        let head = as_text(&reply).and_then(|line| self.parse_head(line.trim_end()));
+        self.reply = reply;
+        head
+    }
+
+    /// Parses one status frame; `OK` parses into a head, `ERR`/`BUSY`
     /// become typed errors.
-    fn read_head(&mut self) -> Result<OkHead, ClientError> {
-        let line = self.read_line()?;
+    fn parse_head(&mut self, line: &str) -> Result<OkHead, ClientError> {
         let mut toks = line.split_whitespace();
         match toks.next() {
             Some("OK") => {
@@ -230,23 +252,48 @@ impl Client {
         }
     }
 
-    /// Reads `n` payload lines into one newline-terminated string.
-    fn read_lines(&mut self, n: usize) -> Result<String, ClientError> {
-        let mut out = String::new();
-        for _ in 0..n {
-            out.push_str(&self.read_line()?);
-            out.push('\n');
+    /// Sends a one-line frame and reads its status frame.
+    fn request(&mut self, line: fmt::Arguments<'_>) -> Result<OkHead, ClientError> {
+        self.frame.clear();
+        let _ = writeln!(self.frame, "{line}");
+        self.exchange()
+    }
+
+    /// Reads the `lines`-line payload an `OK` head announced: whole
+    /// socket reads at a time, counting newlines, rather than line by
+    /// line.
+    fn read_body(&mut self, mut lines: usize) -> Result<&str, ClientError> {
+        self.reply.clear();
+        while lines > 0 {
+            let buf = self.reader.fill_buf()?;
+            if buf.is_empty() {
+                return Err(ClientError::Protocol(
+                    "connection closed mid-response".into(),
+                ));
+            }
+            let newlines = buf.iter().filter(|&&b| b == b'\n').count();
+            let mut take = buf.len();
+            if newlines >= lines {
+                // The body ends in this read, at its `lines`-th newline.
+                for _ in lines..=newlines {
+                    take = buf[..take]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .expect("a counted newline");
+                }
+                take += 1;
+            }
+            lines -= newlines.min(lines);
+            self.reply.extend_from_slice(&buf[..take]);
+            self.reader.consume(take);
         }
-        Ok(out)
+        as_text(&self.reply)
     }
 
     /// Executes one request on the session's pinned state.
     pub fn query(&mut self, request: &QueryRequest) -> Result<Response, ClientError> {
-        writeln!(self.writer, "QUERY {}", request.to_text())?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(Response::parse_text(&body)?)
+        let head = self.request(format_args!("QUERY {}", request.to_text()))?;
+        Ok(Response::parse_text(self.read_body(head.lines)?)?)
     }
 
     /// Executes one request tagged with a client correlation id. The id
@@ -257,11 +304,8 @@ impl Client {
         request: &QueryRequest,
         id: u64,
     ) -> Result<Response, ClientError> {
-        writeln!(self.writer, "QUERY id={id} {}", request.to_text())?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(Response::parse_text(&body)?)
+        let head = self.request(format_args!("QUERY id={id} {}", request.to_text()))?;
+        Ok(Response::parse_text(self.read_body(head.lines)?)?)
     }
 
     /// Compiles a QL statement against the cached universe and executes
@@ -276,12 +320,12 @@ impl Client {
     /// (and concurrent requests from other connections) into shared
     /// batches. Answers come back in request order.
     pub fn batch(&mut self, requests: &[QueryRequest]) -> Result<Vec<Response>, ClientError> {
-        writeln!(self.writer, "BATCH {}", requests.len())?;
+        self.frame.clear();
+        let _ = writeln!(self.frame, "BATCH {}", requests.len());
         for r in requests {
-            writeln!(self.writer, "{}", r.to_text())?;
+            let _ = writeln!(self.frame, "{}", r.to_text());
         }
-        self.writer.flush()?;
-        let head = self.read_head()?;
+        let head = self.exchange()?;
         if head.count != Some(requests.len()) {
             return Err(ClientError::Protocol(format!(
                 "BATCH answered count={:?}, sent {}",
@@ -289,8 +333,7 @@ impl Client {
                 requests.len()
             )));
         }
-        let body = self.read_lines(head.lines)?;
-        let mut lines = body.lines();
+        let mut lines = self.read_body(head.lines)?.split_terminator('\n');
         let mut lineno = 0usize;
         let mut out = Vec::with_capacity(requests.len());
         for _ in 0..requests.len() {
@@ -302,79 +345,62 @@ impl Client {
     /// Commits ops atomically and re-pins the session past the commit
     /// (read-your-writes).
     pub fn commit(&mut self, ops: &[DeltaOp]) -> Result<(u64, u64), ClientError> {
-        writeln!(self.writer, "COMMIT {}", ops.len())?;
+        self.frame.clear();
+        let _ = writeln!(self.frame, "COMMIT {}", ops.len());
         for op in ops {
-            writeln!(self.writer, "{}", protocol::op_to_text(op))?;
+            let _ = writeln!(self.frame, "{}", protocol::op_to_text(op));
         }
-        self.writer.flush()?;
-        let head = self.read_head()?;
+        let head = self.exchange()?;
         self.note_pin(&head);
         Ok((self.generation, self.epoch))
     }
 
     /// Profiles one request on the server; returns the profile JSON.
     pub fn profile(&mut self, request: &QueryRequest) -> Result<String, ClientError> {
-        writeln!(self.writer, "PROFILE {}", request.to_text())?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(body.trim_end().to_owned())
+        let head = self.request(format_args!("PROFILE {}", request.to_text()))?;
+        Ok(self.read_body(head.lines)?.trim_end().to_owned())
     }
 
     /// Scrapes the server's metrics registry (Prometheus text format).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        writeln!(self.writer, "METRICS")?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        self.read_lines(head.lines)
+        let head = self.request(format_args!("METRICS"))?;
+        Ok(self.read_body(head.lines)?.to_owned())
     }
 
     /// Replays the captured trace of an earlier request as profile JSON —
     /// the exact rendering `PROFILE` would have produced.
     pub fn trace(&mut self, rid: u64) -> Result<String, ClientError> {
-        writeln!(self.writer, "TRACE {rid}")?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(body.trim_end().to_owned())
+        let head = self.request(format_args!("TRACE {rid}"))?;
+        Ok(self.read_body(head.lines)?.trim_end().to_owned())
     }
 
     /// Fetches the most recent over-threshold requests, newest first, as
     /// one JSON line per entry.
     pub fn slowlog(&mut self, n: Option<usize>) -> Result<Vec<String>, ClientError> {
-        match n {
-            Some(n) => writeln!(self.writer, "SLOWLOG {n}")?,
-            None => writeln!(self.writer, "SLOWLOG")?,
-        }
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
+        let head = match n {
+            Some(n) => self.request(format_args!("SLOWLOG {n}"))?,
+            None => self.request(format_args!("SLOWLOG"))?,
+        };
+        let body = self.read_body(head.lines)?;
         Ok(body.lines().map(str::to_owned).collect())
     }
 
     /// Fetches the live server snapshot (`TOP`) as one JSON line.
     pub fn top(&mut self) -> Result<String, ClientError> {
-        writeln!(self.writer, "TOP")?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(body.trim_end().to_owned())
+        let head = self.request(format_args!("TOP"))?;
+        Ok(self.read_body(head.lines)?.trim_end().to_owned())
     }
 
     /// Re-pins the session to the store's latest state.
     pub fn refresh(&mut self) -> Result<(u64, u64), ClientError> {
-        writeln!(self.writer, "REFRESH")?;
-        self.writer.flush()?;
-        let head = self.read_head()?;
+        let head = self.request(format_args!("REFRESH"))?;
         self.note_pin(&head);
         Ok((self.generation, self.epoch))
     }
 
     /// Says goodbye and closes the connection.
     pub fn quit(mut self) -> Result<(), ClientError> {
-        writeln!(self.writer, "QUIT")?;
-        self.writer.flush()?;
-        let _ = self.read_head()?;
+        self.request(format_args!("QUIT"))?;
         Ok(())
     }
 
@@ -382,8 +408,9 @@ impl Client {
     /// escape hatch `graphbi connect` and tests use to poke the protocol
     /// directly (including malformed frames).
     pub fn send_raw(&mut self, line: &str) -> Result<String, ClientError> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        self.read_line()
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
+        self.reply.clear();
+        self.read_line()?;
+        Ok(as_text(&self.reply)?.trim_end().to_owned())
     }
 }

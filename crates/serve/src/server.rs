@@ -55,9 +55,7 @@ use graphbi_obs::{json, Counter, Histogram};
 
 use crate::protocol::{self, Verb, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use crate::queue::{AdmissionQueue, OfferError};
-use crate::recorder::{
-    synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport,
-};
+use crate::recorder::{synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport};
 
 /// `SLOWLOG` entry count when the client does not ask for one.
 const DEFAULT_SLOWLOG: usize = 16;
@@ -478,76 +476,158 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>) {
 
 /// How one frame-line read ended.
 enum FrameLine {
-    Line(String),
+    Line,
     Eof,
     TooLong,
 }
 
-/// Reads one `\n`-terminated line with a hard length cap, polling the
-/// socket's read timeout so shutdown is noticed promptly. A partial line
-/// at EOF (or shutdown) is discarded — it was never a complete frame.
-fn read_frame_line(reader: &mut BufReader<TcpStream>, ctx: &Ctx) -> io::Result<FrameLine> {
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return Ok(FrameLine::Eof);
-        }
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
+/// The payload lines of a `BATCH`/`COMMIT`: the first one raw (the
+/// recorder's label for the frame) and every line parsed, or the first
+/// parse error.
+type Payload<T> = (String, Result<Vec<T>, graphbi::WireError>);
+
+/// A connection's ingress: the socket and the one buffer every frame
+/// line is read into.
+struct FrameReader {
+    socket: BufReader<TcpStream>,
+    line: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Reads one `\n`-terminated line into `self.line` with a hard length
+    /// cap, polling the socket's read timeout so shutdown is noticed
+    /// promptly. A partial line at EOF (or shutdown) is discarded — it
+    /// was never a complete frame.
+    fn read_line(&mut self, ctx: &Ctx) -> io::Result<FrameLine> {
+        self.line.clear();
+        loop {
+            if ctx.shutdown.load(Ordering::SeqCst) {
+                return Ok(FrameLine::Eof);
             }
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(FrameLine::Eof);
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                out.extend_from_slice(&buf[..pos]);
-                reader.consume(pos + 1);
-                ctx.metrics.read_bytes.add(pos as u64 + 1);
-                if out.len() > MAX_LINE_BYTES {
-                    return Ok(FrameLine::TooLong);
+            let buf = match self.socket.fill_buf() {
+                Ok(b) => b,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue
                 }
-                return Ok(FrameLine::Line(String::from_utf8_lossy(&out).into_owned()));
+                Err(e) => return Err(e),
+            };
+            if buf.is_empty() {
+                return Ok(FrameLine::Eof);
             }
-            None => {
-                let n = buf.len();
-                out.extend_from_slice(buf);
-                reader.consume(n);
-                ctx.metrics.read_bytes.add(n as u64);
-                if out.len() > MAX_LINE_BYTES {
-                    return Ok(FrameLine::TooLong);
-                }
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let consumed = newline.map_or(buf.len(), |pos| pos + 1);
+            self.line
+                .extend_from_slice(&buf[..newline.unwrap_or(buf.len())]);
+            self.socket.consume(consumed);
+            ctx.metrics.read_bytes.add(consumed as u64);
+            if self.line.len() > MAX_LINE_BYTES {
+                return Ok(FrameLine::TooLong);
+            }
+            if newline.is_some() {
+                return Ok(FrameLine::Line);
             }
         }
     }
+
+    /// The line last read, as text.
+    fn text(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(&self.line)
+    }
+
+    /// Reads the `k` payload lines of a `BATCH`/`COMMIT`, parsing each as
+    /// it arrives. Every line is consumed before a parse error is
+    /// reported, so a bad line never desynchronizes framing. `None` means the connection is over — the
+    /// peer left, or a line broke the frame cap and `out` said so.
+    fn read_payload<T>(
+        &mut self,
+        ctx: &Ctx,
+        out: &mut FrameWriter,
+        rid: u64,
+        k: usize,
+        parse: impl Fn(&str) -> Result<T, graphbi::WireError>,
+    ) -> io::Result<Option<Payload<T>>> {
+        let mut first = String::new();
+        let mut items = Ok(Vec::with_capacity(k));
+        for i in 0..k {
+            match self.read_line(ctx)? {
+                FrameLine::Line => {}
+                FrameLine::Eof => return Ok(None),
+                FrameLine::TooLong => {
+                    out.err(ErrorCode::Malformed, TOO_LONG, rid);
+                    out.send_frame()?;
+                    return Ok(None);
+                }
+            }
+            let text = self.text();
+            if i == 0 {
+                first = text.to_string();
+            }
+            if let Ok(parsed) = &mut items {
+                match parse(&text) {
+                    Ok(item) => parsed.push(item),
+                    Err(e) => items = Err(e),
+                }
+            }
+        }
+        Ok(Some((first, items)))
+    }
 }
 
-/// A write wrapper feeding the served-bytes counter — the egress half of
-/// the per-connection byte accounting.
-struct CountingWriter {
-    inner: TcpStream,
+/// What a line over [`MAX_LINE_BYTES`] is answered with before the
+/// connection closes: the stream can no longer be framed.
+const TOO_LONG: &str = "line exceeds frame cap";
+
+/// What a reply buffer keeps between frames; the allocation of a larger
+/// frame is given back, so an idle connection holds at most this much.
+const FRAME_BUF_KEEP: usize = 1 << 20;
+
+/// A connection's egress. Every reply — status line and body — is
+/// assembled in `buf` and leaves in exactly one `write_all`, so a frame
+/// costs one syscall and one segment train on the `TCP_NODELAY` socket.
+struct FrameWriter {
+    stream: TcpStream,
+    /// The frame under assembly; empty between replies.
+    buf: Vec<u8>,
+    /// The served-bytes counter — the egress half of the per-connection
+    /// byte accounting.
     bytes: Arc<Counter>,
 }
 
-impl io::Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bytes.add(n as u64);
-        Ok(n)
+impl FrameWriter {
+    /// Appends one line to the frame under assembly.
+    fn line(&mut self, text: std::fmt::Arguments<'_>) {
+        self.buf
+            .write_fmt(text)
+            .expect("writing to a Vec cannot fail");
+        self.buf.push(b'\n');
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// Appends an `ERR` status line carrying the request id.
+    fn err(&mut self, code: ErrorCode, message: &str, rid: u64) {
+        self.line(format_args!(
+            "{}",
+            protocol::render_err_id(code, message, rid)
+        ));
+    }
+
+    /// Sends the assembled frame, if any, and readies the buffer for the
+    /// next one.
+    fn send_frame(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.stream.write_all(&self.buf)?;
+        self.bytes.add(self.buf.len() as u64);
+        self.buf.clear();
+        self.buf.shrink_to(FRAME_BUF_KEEP);
+        Ok(())
     }
 }
 
@@ -658,7 +738,7 @@ fn record_failure(
 /// Answers a [`Refusal`] on the wire and records it into the recorder.
 #[allow(clippy::too_many_arguments)]
 fn refuse(
-    writer: &mut CountingWriter,
+    out: &mut FrameWriter,
     ctx: &Ctx,
     rid: u64,
     cid: Option<u64>,
@@ -667,19 +747,18 @@ fn refuse(
     pinned: &Pinned,
     started: Instant,
     refusal: Refusal,
-) -> io::Result<()> {
-    match refusal {
+) {
+    let (code, msg) = match refusal {
         Refusal::Busy(msg) => {
-            record_failure(
-                ctx, rid, cid, verb, request, pinned, started, ErrorCode::Busy, &msg,
-            );
-            writeln!(writer, "{}", protocol::render_busy(&msg))
+            out.line(format_args!("{}", protocol::render_busy(&msg)));
+            (ErrorCode::Busy, msg)
         }
         Refusal::Fail(code, msg) => {
-            record_failure(ctx, rid, cid, verb, request, pinned, started, code, &msg);
-            writeln!(writer, "{}", protocol::render_err_id(code, &msg, rid))
+            out.err(code, &msg, rid);
+            (code, msg)
         }
-    }
+    };
+    record_failure(ctx, rid, cid, verb, request, pinned, started, code, &msg);
 }
 
 /// Renders the `TOP` live snapshot as one JSON line: connection and queue
@@ -802,111 +881,80 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     stream.set_read_timeout(Some(ctx.cfg.read_timeout))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = CountingWriter {
-        inner: stream,
+    let mut frames = FrameReader {
+        socket: BufReader::new(stream.try_clone()?),
+        line: Vec::new(),
+    };
+    let mut out = FrameWriter {
+        stream,
+        buf: Vec::new(),
         bytes: Arc::clone(&ctx.metrics.write_bytes),
     };
 
     // Handshake: the first frame must be HELLO with our version.
-    let first = match read_frame_line(&mut reader, ctx)? {
-        FrameLine::Line(l) => l,
+    let refusal = match frames.read_line(ctx)? {
         FrameLine::Eof => return Ok(()),
-        FrameLine::TooLong => {
-            writeln!(
-                writer,
-                "{}",
-                protocol::render_err(ErrorCode::Malformed, "line exceeds frame cap")
-            )?;
-            return Ok(());
-        }
+        FrameLine::TooLong => Some((ErrorCode::Malformed, TOO_LONG.to_owned())),
+        FrameLine::Line => match protocol::parse_verb(&frames.text()) {
+            Ok(Verb::Hello(v)) if v == PROTOCOL_VERSION => None,
+            Ok(Verb::Hello(v)) => Some((
+                ErrorCode::Unsupported,
+                format!("protocol {v:?}; this server speaks {PROTOCOL_VERSION}"),
+            )),
+            Ok(_) | Err(_) => Some((
+                ErrorCode::Malformed,
+                "first frame must be HELLO <version>".to_owned(),
+            )),
+        },
     };
-    match protocol::parse_verb(&first) {
-        Ok(Verb::Hello(v)) if v == PROTOCOL_VERSION => {}
-        Ok(Verb::Hello(v)) => {
-            writeln!(
-                writer,
-                "{}",
-                protocol::render_err(
-                    ErrorCode::Unsupported,
-                    &format!("protocol {v:?}; this server speaks {PROTOCOL_VERSION}")
-                )
-            )?;
-            return Ok(());
-        }
-        Ok(_) | Err(_) => {
-            writeln!(
-                writer,
-                "{}",
-                protocol::render_err(ErrorCode::Malformed, "first frame must be HELLO <version>")
-            )?;
-            return Ok(());
-        }
+    if let Some((code, msg)) = refusal {
+        out.line(format_args!("{}", protocol::render_err(code, &msg)));
+        return out.send_frame();
     }
     let mut pinned = ctx.store.pin();
     let (gen, epoch) = pinned.info();
     let hello_rid = ctx.recorder.next_rid();
-    write!(
-        writer,
-        "OK {PROTOCOL_VERSION} generation={gen} epoch={epoch} lines={} id={hello_rid}\n{}",
-        ctx.hello_text.lines().count(),
-        ctx.hello_text
-    )?;
-    writer.flush()?;
+    out.line(format_args!(
+        "OK {PROTOCOL_VERSION} generation={gen} epoch={epoch} lines={} id={hello_rid}",
+        ctx.hello_text.lines().count()
+    ));
+    out.buf.extend_from_slice(ctx.hello_text.as_bytes());
+    out.send_frame()?;
 
     loop {
-        let line = match read_frame_line(&mut reader, ctx)? {
-            FrameLine::Line(l) => l,
+        match frames.read_line(ctx)? {
+            FrameLine::Line => {}
             FrameLine::Eof => return Ok(()),
             FrameLine::TooLong => {
-                // The stream can no longer be framed; answer and close.
-                let rid = ctx.recorder.next_rid();
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_err_id(ErrorCode::Malformed, "line exceeds frame cap", rid)
-                )?;
-                return Ok(());
+                out.err(ErrorCode::Malformed, TOO_LONG, ctx.recorder.next_rid());
+                return out.send_frame();
             }
-        };
-        if line.trim().is_empty() {
+        }
+        let text = frames.text();
+        if text.trim().is_empty() {
             continue;
         }
-        let verb = match protocol::parse_verb(&line) {
+        // Every frame gets a server-assigned id, echoed on the reply so a
+        // client can TRACE it later.
+        let rid = ctx.recorder.next_rid();
+        let verb = match protocol::parse_verb(&text) {
             Ok(v) => v,
             Err(e) => {
-                let rid = ctx.recorder.next_rid();
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_err_id(ErrorCode::Malformed, &e.to_string(), rid)
-                )?;
-                writer.flush()?;
+                out.err(ErrorCode::Malformed, &e.to_string(), rid);
+                out.send_frame()?;
                 continue;
             }
         };
-        // Every parsed request gets a server-assigned id, echoed on the
-        // reply head so a client can TRACE it later.
-        let rid = ctx.recorder.next_rid();
         let started = Instant::now();
         let mut sp = graphbi_obs::span("serve.request");
         match verb {
-            Verb::Hello(_) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_err_id(ErrorCode::Malformed, "HELLO already exchanged", rid)
-                )?;
-            }
+            Verb::Hello(_) => out.err(ErrorCode::Malformed, "HELLO already exchanged", rid),
             Verb::Query { cid, payload } => {
                 sp.attr("requests", 1);
                 match QueryRequest::parse_text(&payload) {
                     Err(e) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            protocol::render_err_id(ErrorCode::Malformed, &e.to_string(), rid)
-                        )?;
+                        let msg = e.to_string();
+                        out.err(ErrorCode::Malformed, &msg, rid);
                         record_failure(
                             ctx,
                             rid,
@@ -916,7 +964,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                             &pinned,
                             started,
                             ErrorCode::Malformed,
-                            &e.to_string(),
+                            &msg,
                         );
                     }
                     Ok(req) => {
@@ -924,23 +972,23 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                         let sampled = ctx.recorder.sample();
                         match dispatch(ctx, &pinned, vec![req], sampled) {
                             Ok(mut outcomes) => {
-                                let out = outcomes.pop().expect("one request, one outcome");
+                                let o = outcomes.pop().expect("one request, one outcome");
                                 let (gen, epoch) = pinned.info();
-                                write!(
-                                    writer,
-                                    "OK generation={gen} epoch={epoch} lines={} id={rid}\n{}",
-                                    out.response.line_count(),
-                                    out.response.to_text()
-                                )?;
+                                out.line(format_args!(
+                                    "OK generation={gen} epoch={epoch} lines={} id={rid}",
+                                    o.response.line_count()
+                                ));
+                                o.response.write_text(&mut out.buf);
+                                out.send_frame()?;
                                 let total_ns = dur_ns(started.elapsed());
                                 // Skip trace assembly entirely unless the
                                 // recorder will keep it — the unsampled
                                 // fast path must not pay for clones and a
                                 // synthesized profile headed for the floor.
                                 if ctx.recorder.should_capture(sampled, total_ns, false) {
-                                    let matches = response_matches(&out.response);
-                                    let profile = out.profile.unwrap_or_else(|| {
-                                        synthesized_profile(out.io, total_ns, matches)
+                                    let matches = response_matches(&o.response);
+                                    let profile = o.profile.unwrap_or_else(|| {
+                                        synthesized_profile(o.io, total_ns, matches)
                                     });
                                     ctx.recorder.observe(
                                         RequestTrace {
@@ -950,9 +998,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                             request: payload,
                                             generation: gen,
                                             epoch,
-                                            queue_wait_ns: out.wait_ns,
+                                            queue_wait_ns: o.wait_ns,
                                             total_ns,
-                                            batch: out.batch,
+                                            batch: o.batch,
                                             status: 0,
                                             error: None,
                                             profile,
@@ -962,16 +1010,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 }
                             }
                             Err(r) => refuse(
-                                &mut writer,
-                                ctx,
-                                rid,
-                                cid,
-                                "query",
-                                &payload,
-                                &pinned,
-                                started,
-                                r,
-                            )?,
+                                &mut out, ctx, rid, cid, "query", &payload, &pinned, started, r,
+                            ),
                         }
                     }
                 }
@@ -979,37 +1019,15 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
             Verb::Batch { count: k, cid } => {
                 sp.attr("requests", k as u64);
-                // Consume all k payload lines before parsing, so a bad
-                // request never desynchronizes framing.
-                let mut raw = Vec::with_capacity(k);
-                for _ in 0..k {
-                    match read_frame_line(&mut reader, ctx)? {
-                        FrameLine::Line(l) => raw.push(l),
-                        FrameLine::Eof => return Ok(()),
-                        FrameLine::TooLong => {
-                            writeln!(
-                                writer,
-                                "{}",
-                                protocol::render_err_id(
-                                    ErrorCode::Malformed,
-                                    "line exceeds frame cap",
-                                    rid
-                                )
-                            )?;
-                            return Ok(());
-                        }
-                    }
-                }
-                let first = raw.first().cloned().unwrap_or_default();
-                let parsed: Result<Vec<QueryRequest>, graphbi::WireError> =
-                    raw.iter().map(|l| QueryRequest::parse_text(l)).collect();
+                let parse = QueryRequest::parse_text;
+                let Some((first, parsed)) = frames.read_payload(ctx, &mut out, rid, k, parse)?
+                else {
+                    return Ok(());
+                };
                 match parsed {
                     Err(e) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            protocol::render_err_id(ErrorCode::Malformed, &e.to_string(), rid)
-                        )?;
+                        let msg = e.to_string();
+                        out.err(ErrorCode::Malformed, &msg, rid);
                         record_failure(
                             ctx,
                             rid,
@@ -1019,7 +1037,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                             &pinned,
                             started,
                             ErrorCode::Malformed,
-                            &e.to_string(),
+                            &msg,
                         );
                     }
                     Ok(reqs) => {
@@ -1030,13 +1048,13 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 let lines: usize =
                                     outcomes.iter().map(|o| o.response.line_count()).sum();
                                 let (gen, epoch) = pinned.info();
-                                writeln!(
-                                    writer,
+                                out.line(format_args!(
                                     "OK count={k} generation={gen} epoch={epoch} lines={lines} id={rid}"
-                                )?;
+                                ));
                                 for o in &outcomes {
-                                    write!(writer, "{}", o.response.to_text())?;
+                                    o.response.write_text(&mut out.buf);
                                 }
+                                out.send_frame()?;
                                 let total_ns = dur_ns(started.elapsed());
                                 if ctx.recorder.should_capture(sampled, total_ns, false) {
                                     let mut io = IoStats::new();
@@ -1075,16 +1093,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 }
                             }
                             Err(r) => refuse(
-                                &mut writer,
-                                ctx,
-                                rid,
-                                cid,
-                                "batch",
-                                &first,
-                                &pinned,
-                                started,
-                                r,
-                            )?,
+                                &mut out, ctx, rid, cid, "batch", &first, &pinned, started, r,
+                            ),
                         }
                     }
                 }
@@ -1092,90 +1102,50 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
             Verb::Commit(k) => {
                 sp.attr("ops", k as u64);
-                let mut raw = Vec::with_capacity(k);
-                for _ in 0..k {
-                    match read_frame_line(&mut reader, ctx)? {
-                        FrameLine::Line(l) => raw.push(l),
-                        FrameLine::Eof => return Ok(()),
-                        FrameLine::TooLong => {
-                            writeln!(
-                                writer,
-                                "{}",
-                                protocol::render_err_id(
-                                    ErrorCode::Malformed,
-                                    "line exceeds frame cap",
-                                    rid
-                                )
-                            )?;
-                            return Ok(());
-                        }
-                    }
-                }
-                let first = raw.first().cloned().unwrap_or_default();
-                let parsed: Result<Vec<DeltaOp>, graphbi::WireError> =
-                    raw.iter().map(|l| protocol::parse_op(l)).collect();
-                match parsed {
-                    Err(e) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            protocol::render_err_id(ErrorCode::Malformed, &e.to_string(), rid)
-                        )?;
+                let parse = protocol::parse_op;
+                let Some((first, parsed)) = frames.read_payload(ctx, &mut out, rid, k, parse)?
+                else {
+                    return Ok(());
+                };
+                let sampled = parsed.is_ok() && ctx.recorder.sample();
+                let committed = parsed
+                    .map_err(|e| (ErrorCode::Malformed, e.to_string()))
+                    .and_then(|ops| ctx.store.commit(&ops));
+                match committed {
+                    Err((code, msg)) => {
+                        out.err(code, &msg, rid);
                         record_failure(
-                            ctx,
-                            rid,
-                            None,
-                            "commit",
-                            &first,
-                            &pinned,
-                            started,
-                            ErrorCode::Malformed,
-                            &e.to_string(),
+                            ctx, rid, None, "commit", &first, &pinned, started, code, &msg,
                         );
                     }
-                    Ok(ops) => {
-                        let sampled = ctx.recorder.sample();
-                        match ctx.store.commit(&ops) {
-                            Err((code, msg)) => {
-                                writeln!(writer, "{}", protocol::render_err_id(code, &msg, rid))?;
-                                record_failure(
-                                    ctx, rid, None, "commit", &first, &pinned, started, code, &msg,
-                                );
-                            }
-                            Ok(()) => {
-                                ctx.metrics.commits.inc();
-                                // Read-your-writes: re-pin past our own commit.
-                                pinned = ctx.store.pin();
-                                let (gen, epoch) = pinned.info();
-                                writeln!(
-                                    writer,
-                                    "OK generation={gen} epoch={epoch} lines=0 id={rid}"
-                                )?;
-                                let total_ns = dur_ns(started.elapsed());
-                                if ctx.recorder.should_capture(sampled, total_ns, false) {
-                                    ctx.recorder.observe(
-                                        RequestTrace {
-                                            rid,
-                                            cid: None,
-                                            verb: "commit",
-                                            request: first,
-                                            generation: gen,
-                                            epoch,
-                                            queue_wait_ns: 0,
-                                            total_ns,
-                                            batch: k as u64,
-                                            status: 0,
-                                            error: None,
-                                            profile: synthesized_profile(
-                                                IoStats::new(),
-                                                total_ns,
-                                                0,
-                                            ),
-                                        },
-                                        sampled,
-                                    );
-                                }
-                            }
+                    Ok(()) => {
+                        ctx.metrics.commits.inc();
+                        // Read-your-writes: re-pin past our own commit.
+                        pinned = ctx.store.pin();
+                        let (gen, epoch) = pinned.info();
+                        out.line(format_args!(
+                            "OK generation={gen} epoch={epoch} lines=0 id={rid}"
+                        ));
+                        out.send_frame()?;
+                        let total_ns = dur_ns(started.elapsed());
+                        if ctx.recorder.should_capture(sampled, total_ns, false) {
+                            ctx.recorder.observe(
+                                RequestTrace {
+                                    rid,
+                                    cid: None,
+                                    verb: "commit",
+                                    request: first,
+                                    generation: gen,
+                                    epoch,
+                                    queue_wait_ns: 0,
+                                    total_ns,
+                                    batch: k as u64,
+                                    status: 0,
+                                    error: None,
+                                    profile: synthesized_profile(IoStats::new(), total_ns, 0),
+                                },
+                                sampled,
+                            );
                         }
                     }
                 }
@@ -1183,20 +1153,13 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
             Verb::Profile(payload) => {
                 match QueryRequest::parse_text(&payload) {
-                    Err(e) => writeln!(
-                        writer,
-                        "{}",
-                        protocol::render_err_id(ErrorCode::Malformed, &e.to_string(), rid)
-                    )?,
+                    Err(e) => out.err(ErrorCode::Malformed, &e.to_string(), rid),
                     // Profiling runs solo on the handler thread — a profile
                     // measures one request, not its luck sharing a batch.
                     Ok(req) => match pinned.profile(&req) {
                         Err(e) => {
-                            writeln!(
-                                writer,
-                                "{}",
-                                protocol::render_err_id(e.code(), &e.to_string(), rid)
-                            )?;
+                            let msg = e.to_string();
+                            out.err(e.code(), &msg, rid);
                             record_failure(
                                 ctx,
                                 rid,
@@ -1206,12 +1169,13 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 &pinned,
                                 started,
                                 e.code(),
-                                &e.to_string(),
+                                &msg,
                             );
                         }
                         Ok((_, prof)) => {
-                            writeln!(writer, "OK lines=1 id={rid}")?;
-                            writeln!(writer, "{}", prof.render_json())?;
+                            out.line(format_args!("OK lines=1 id={rid}"));
+                            out.line(format_args!("{}", prof.render_json()));
+                            out.send_frame()?;
                             let (gen, epoch) = pinned.info();
                             let total_ns = dur_ns(started.elapsed());
                             // A profiled request is always captured: the
@@ -1238,52 +1202,50 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                         }
                     },
                 }
-                ctx.metrics.verb_profile_us.record(dur_us(started.elapsed()));
+                ctx.metrics
+                    .verb_profile_us
+                    .record(dur_us(started.elapsed()));
             }
             Verb::Metrics => {
                 let text = graphbi_obs::global().snapshot().render_text();
-                write!(writer, "OK lines={} id={rid}\n{text}", text.lines().count())?;
+                out.line(format_args!("OK lines={} id={rid}", text.lines().count()));
+                out.buf.extend_from_slice(text.as_bytes());
             }
             Verb::Trace(target) => match ctx.recorder.get(target) {
                 Some(trace) => {
-                    writeln!(writer, "OK lines=1 id={rid}")?;
-                    writeln!(writer, "{}", trace.profile.render_json())?;
+                    out.line(format_args!("OK lines=1 id={rid}"));
+                    out.line(format_args!("{}", trace.profile.render_json()));
                 }
-                None => {
-                    writeln!(
-                        writer,
-                        "{}",
-                        protocol::render_err_id(
-                            ErrorCode::NotFound,
-                            &format!("no captured trace for request id {target}"),
-                            rid
-                        )
-                    )?;
-                }
+                None => out.err(
+                    ErrorCode::NotFound,
+                    &format!("no captured trace for request id {target}"),
+                    rid,
+                ),
             },
             Verb::Slowlog(n) => {
                 let entries = ctx.recorder.recent_slow(n.unwrap_or(DEFAULT_SLOWLOG));
-                writeln!(writer, "OK lines={} id={rid}", entries.len())?;
+                out.line(format_args!("OK lines={} id={rid}", entries.len()));
                 for entry in &entries {
-                    writeln!(writer, "{}", entry.render_json())?;
+                    out.line(format_args!("{}", entry.render_json()));
                 }
             }
             Verb::Top => {
-                writeln!(writer, "OK lines=1 id={rid}")?;
-                writeln!(writer, "{}", render_top(ctx))?;
+                out.line(format_args!("OK lines=1 id={rid}"));
+                out.line(format_args!("{}", render_top(ctx)));
             }
             Verb::Refresh => {
                 pinned = ctx.store.pin();
                 let (gen, epoch) = pinned.info();
-                writeln!(writer, "OK generation={gen} epoch={epoch} lines=0 id={rid}")?;
+                out.line(format_args!(
+                    "OK generation={gen} epoch={epoch} lines=0 id={rid}"
+                ));
             }
             Verb::Quit => {
-                writeln!(writer, "OK lines=0 id={rid}")?;
-                writer.flush()?;
-                return Ok(());
+                out.line(format_args!("OK lines=0 id={rid}"));
+                return out.send_frame();
             }
         }
-        writer.flush()?;
+        out.send_frame()?;
     }
 }
 
@@ -1354,15 +1316,16 @@ fn batcher_loop(ctx: &Arc<Ctx>) {
             }
             Err(_) => {
                 for (job, wait_ns) in batch.into_iter().zip(waits) {
-                    let result = job.pinned.execute(&job.request).map(|(response, io)| {
-                        JobOutcome {
-                            response,
-                            io,
-                            wait_ns,
-                            batch: 1,
-                            profile: None,
-                        }
-                    });
+                    let result =
+                        job.pinned
+                            .execute(&job.request)
+                            .map(|(response, io)| JobOutcome {
+                                response,
+                                io,
+                                wait_ns,
+                                batch: 1,
+                                profile: None,
+                            });
                     let _ = job.reply.send((job.index, result));
                 }
             }

@@ -4,7 +4,8 @@
 //! parsing it back yields a value that renders identically (text-level
 //! equality also covers `NaN`, which breaks `PartialEq`). Malformed
 //! input of any shape must be rejected with a typed error — never a
-//! panic, never a silent misparse.
+//! panic, never a silent misparse — and whatever the response parser does
+//! admit must render back to the bytes it read.
 
 use graphbi::{
     AggFn, Bitmap, EdgeId, EvalOptions, GraphQuery, PathAggQuery, PathAggResult, QueryExpr,
@@ -123,6 +124,31 @@ fn response() -> impl Strategy<Value = Response> {
     prop_oneof![records, matches, aggregates]
 }
 
+/// True when byte `pos` of a rendered block lies in the measure columns
+/// of an `r` row — past the row's second space.
+fn in_measures(text: &str, pos: usize) -> bool {
+    let start = text[..pos].rfind('\n').map_or(0, |i| i + 1);
+    let row = &text[start..];
+    row.starts_with("r ") && row[2..].find(' ').is_some_and(|i| pos - start > 2 + i)
+}
+
+/// A damaged block must be rejected, or parse to a value that renders to
+/// exactly the bytes parsed: the parser admits nothing the renderer would
+/// not write. A measure token may be any spelling `f64::from_str` reads,
+/// so damage there (`lenient`) need only yield a stable round-trip.
+fn rejects_or_rerenders(damaged: &str, lenient: bool) -> Result<(), TestCaseError> {
+    if let Ok(back) = Response::parse_text(damaged) {
+        let again = back.to_text();
+        if lenient {
+            let twice = Response::parse_text(&again).map(|r| r.to_text());
+            prop_assert_eq!(twice.as_deref(), Ok(again.as_str()), "from {:?}", damaged);
+        } else {
+            prop_assert_eq!(again, damaged);
+        }
+    }
+    Ok(())
+}
+
 fn record() -> impl Strategy<Value = graphbi_graph::GraphRecord> {
     prop::collection::vec(((0u32..200).prop_map(EdgeId), measure()), 1..8).prop_map(|pairs| {
         let mut b = RecordBuilder::new();
@@ -167,7 +193,7 @@ proptest! {
     #[test]
     fn response_blocks_self_delimit(a in response(), b in response()) {
         let text = format!("{}{}", a.to_text(), b.to_text());
-        let mut lines = text.lines();
+        let mut lines = text.split_terminator('\n');
         let mut lineno = 0usize;
         let first = Response::read_block(&mut lines, &mut lineno).expect("first block");
         let second = Response::read_block(&mut lines, &mut lineno).expect("second block");
@@ -256,6 +282,32 @@ proptest! {
             let truncated = kept.join("\n");
             if !truncated.is_empty() {
                 prop_assert!(Response::parse_text(&truncated).is_err());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every truncation and single-byte corruption of a rendered block is
+    /// rejected or re-renders to itself — never a panic, never a
+    /// different answer under the same bytes. Long blocks are sampled at
+    /// a stride, short ones damaged at every byte.
+    #[test]
+    fn damaged_blocks_reject_or_rerender(resp in response(), salt in any::<u8>()) {
+        let text = resp.to_text();
+        let stride = text.len() / 128 + 1;
+        for pos in (usize::from(salt) % stride..text.len()).step_by(stride) {
+            prop_assert!(Response::parse_text(&text[..pos]).is_err(), "cut at {}", pos);
+            let lenient = in_measures(&text, pos);
+            for byte in [b' ', b'\n', b'\r', b'0', b'1', b'9', b'-', b'+', b'.', b'e', b'r', salt & 0x7f] {
+                if byte != text.as_bytes()[pos] {
+                    let mut damaged = text.clone().into_bytes();
+                    damaged[pos] = byte;
+                    let damaged = String::from_utf8(damaged).expect("ASCII stays UTF-8");
+                    rejects_or_rerenders(&damaged, lenient)?;
+                }
             }
         }
     }
