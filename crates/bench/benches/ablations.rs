@@ -1,39 +1,13 @@
 //! Ablations of the design choices called out in DESIGN.md §6:
-//! storage layout, partition width, and view-selection strategy.
+//! partition width and view-selection strategy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphbi::{GraphStore, IoStats, QueryRequest, Session};
-use graphbi_columnstore::{ColumnBuilder, DenseColumn};
 use graphbi_views::{generate_candidates, rewrite_query, select_views};
 use graphbi_workload::{queries::QuerySpec, Dataset, DatasetSpec};
 
 fn dataset() -> Dataset {
     Dataset::synthesize(&DatasetSpec::ny(5_000))
-}
-
-/// Sparse (bitmap + dense values) vs NULL-padded dense measure columns.
-fn bench_column_layout(c: &mut Criterion) {
-    const N: u32 = 200_000;
-    const STEP: usize = 12; // ~8% density, the NY record shape
-    let mut sparse_b = ColumnBuilder::new();
-    let mut dense = DenseColumn::new(N as usize);
-    for r in (0..N).step_by(STEP) {
-        sparse_b.push(r, f64::from(r));
-        dense.set(r, f64::from(r));
-    }
-    let sparse = sparse_b.finish();
-    let probes: Vec<u32> = (0..N).step_by(97).collect();
-
-    let mut g = c.benchmark_group("column_layout_point_lookups");
-    g.bench_function("sparse", |b| {
-        b.iter(|| probes.iter().filter_map(|&r| sparse.get(r)).sum::<f64>())
-    });
-    g.bench_function("dense", |b| {
-        b.iter(|| probes.iter().filter_map(|&r| dense.get(r)).sum::<f64>())
-    });
-    g.finish();
-    // The space story is asserted in unit tests: sparse ≈ density-linear,
-    // dense ≈ capacity-linear.
 }
 
 /// Vertical partition width: 100 vs 1000 vs 10000 columns per sub-relation.
@@ -128,7 +102,6 @@ fn bench_rewrite_scaling(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_column_layout,
     bench_partition_width,
     bench_view_strategy,
     bench_rewrite_scaling

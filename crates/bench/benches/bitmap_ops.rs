@@ -1,9 +1,7 @@
-//! Microbenchmarks of the bitmap substrate, including the
-//! compressed-vs-dense ablation called out in DESIGN.md §6.
+//! Microbenchmarks of the bitmap substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphbi_bitmap::ewah::EwahBitmap;
-use graphbi_bitmap::{dense::DenseBitmap, Bitmap};
+use graphbi_bitmap::Bitmap;
 
 const N: u32 = 1_000_000;
 
@@ -11,15 +9,6 @@ fn make(density_pct: u32, offset: u32) -> Bitmap {
     let step = (100 / density_pct).max(1);
     let mut b: Bitmap = (offset..N).step_by(step as usize).collect();
     b.optimize();
-    b
-}
-
-fn make_dense(density_pct: u32, offset: u32) -> DenseBitmap {
-    let step = (100 / density_pct).max(1);
-    let mut b = DenseBitmap::new(N);
-    for v in (offset..N).step_by(step as usize) {
-        b.insert(v);
-    }
     b
 }
 
@@ -33,41 +22,8 @@ fn bench_and(c: &mut Criterion) {
             &density,
             |bench, _| bench.iter(|| std::hint::black_box(a.and(&b)).len()),
         );
-        let da = make_dense(density, 0);
-        let db = make_dense(density, 1);
-        g.bench_with_input(BenchmarkId::new("dense", density), &density, |bench, _| {
-            bench.iter(|| {
-                let mut x = da.clone();
-                x.and_assign(&db);
-                std::hint::black_box(x.len())
-            })
-        });
-        let step = (100 / density).max(1) as usize;
-        let ea = EwahBitmap::from_sorted((0..N).step_by(step));
-        let eb = EwahBitmap::from_sorted((1..N).step_by(step));
-        g.bench_with_input(BenchmarkId::new("ewah", density), &density, |bench, _| {
-            bench.iter(|| std::hint::black_box(ea.and(&eb)).len())
-        });
     }
     g.finish();
-}
-
-/// Space ablation: bytes per format across densities (printed once).
-fn bench_space_report(c: &mut Criterion) {
-    for density in [1u32, 10, 50] {
-        let step = (100 / density).max(1) as usize;
-        let compressed = make(density, 0);
-        let ewah = EwahBitmap::from_sorted((0..N).step_by(step));
-        let dense = make_dense(density, 0);
-        println!(
-            "space @ {density}%: roaring {} B, ewah {} B, dense {} B",
-            compressed.size_in_bytes(),
-            ewah.size_in_bytes(),
-            dense.size_in_bytes()
-        );
-    }
-    // Keep criterion happy with a trivial measurement.
-    c.bench_function("noop_space_report", |b| b.iter(|| 1 + 1));
 }
 
 fn bench_and_many(c: &mut Criterion) {
@@ -113,7 +69,6 @@ fn bench_codec(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_and,
-    bench_space_report,
     bench_and_many,
     bench_or,
     bench_iter_and_rank,

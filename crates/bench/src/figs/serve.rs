@@ -279,8 +279,7 @@ pub fn run() -> bool {
         Err(e) => eprintln!("could not write {out}: {e}"),
     }
 
-    let identical =
-        runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
+    let identical = runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
     // Under contention the batched server must actually coalesce: the
     // 32-client batched run needs fewer dispatches than requests.
     let coalesced = runs

@@ -20,9 +20,6 @@
 //!   (clustered chunks, the common case for record ids assigned by a
 //!   sequential loader).
 //!
-//! A plain uncompressed bitmap, [`dense::DenseBitmap`], is provided for the
-//! ablation benchmarks.
-//!
 //! ```
 //! use graphbi_bitmap::Bitmap;
 //!
@@ -37,8 +34,6 @@ mod bitmap;
 mod builder;
 mod codec;
 mod container;
-pub mod dense;
-pub mod ewah;
 pub mod intcodec;
 mod iter;
 pub mod kernels;

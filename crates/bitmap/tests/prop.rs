@@ -158,21 +158,6 @@ proptest! {
     }
 
     #[test]
-    fn ewah_agrees_with_roaring(a in id_vec(), b in id_vec()) {
-        use graphbi_bitmap::ewah::EwahBitmap;
-        let (ma, mb) = (model(&a), model(&b));
-        let ea = EwahBitmap::from_sorted(ma.iter().copied());
-        let eb = EwahBitmap::from_sorted(mb.iter().copied());
-        prop_assert_eq!(ea.len(), ma.len() as u64);
-        prop_assert_eq!(ea.iter().collect::<Vec<_>>(), ma.iter().copied().collect::<Vec<_>>());
-        let and: Vec<u32> = ma.intersection(&mb).copied().collect();
-        let or: Vec<u32> = ma.union(&mb).copied().collect();
-        prop_assert_eq!(ea.and(&eb).iter().collect::<Vec<_>>(), and);
-        prop_assert_eq!(ea.or(&eb).iter().collect::<Vec<_>>(), or);
-        prop_assert_eq!(ea.to_bitmap(), bitmap(&a));
-    }
-
-    #[test]
     fn remove_matches_model(ids in id_vec(), remove in id_vec()) {
         let mut m = model(&ids);
         let mut b = bitmap(&ids);

@@ -546,9 +546,7 @@ fn render_top_text(snapshot: &str) -> Result<String, String> {
         "generation  {:>8}   epoch       {:>6}   kernel {}\n",
         num("generation"),
         num("epoch"),
-        doc.get("kernel")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
+        doc.get("kernel").and_then(Json::as_str).unwrap_or("?")
     ));
     out.push_str(&format!(
         "requests    {:>8}   commits     {:>6}   busy   {:>6}\n",

@@ -271,44 +271,6 @@ impl ColumnBuilder {
     }
 }
 
-/// NULL-padded dense column: one slot per record id, used only by the
-/// storage-ablation bench to quantify what the sparse layout saves.
-#[derive(Clone, Debug)]
-pub struct DenseColumn {
-    values: Vec<f64>,
-    present: Vec<bool>,
-}
-
-impl DenseColumn {
-    /// Creates a column of `n` NULLs.
-    pub fn new(n: usize) -> Self {
-        DenseColumn {
-            values: vec![0.0; n],
-            present: vec![false; n],
-        }
-    }
-
-    /// Sets the value of `record`.
-    pub fn set(&mut self, record: RecordId, value: f64) {
-        self.values[record as usize] = value;
-        self.present[record as usize] = true;
-    }
-
-    /// The value of `record`, or NULL.
-    pub fn get(&self, record: RecordId) -> Option<f64> {
-        self.present
-            .get(record as usize)
-            .copied()
-            .unwrap_or(false)
-            .then(|| self.values[record as usize])
-    }
-
-    /// Heap bytes used — independent of how many values are NULL.
-    pub fn size_in_bytes(&self) -> usize {
-        self.values.len() * 8 + self.present.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,21 +351,6 @@ mod tests {
         let bytes = c.encode();
         let mut cut = bytes.slice(..bytes.len() - 4);
         assert!(SparseColumn::decode(&mut cut).is_err());
-    }
-
-    #[test]
-    fn sparse_beats_dense_on_sparse_data() {
-        let n = 100_000u32;
-        let mut dense = DenseColumn::new(n as usize);
-        let mut b = ColumnBuilder::new();
-        for r in (0..n).step_by(100) {
-            dense.set(r, 1.0);
-            b.push(r, 1.0);
-        }
-        let sparse = b.finish();
-        assert_eq!(sparse.get(100), Some(1.0));
-        assert_eq!(dense.get(100), Some(1.0));
-        assert!(sparse.size_in_bytes() * 10 < dense.size_in_bytes());
     }
 
     #[test]

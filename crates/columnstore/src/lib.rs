@@ -50,7 +50,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use cache::LruCache;
-pub use column::{ColumnBuilder, DenseColumn, SparseColumn};
+pub use column::{ColumnBuilder, SparseColumn};
 pub use delta::{DeltaOp, DeltaStore};
 pub use disk::{BitmapRef, ColumnRef, DiskRelation};
 pub use iostats::{IoStats, SharedIoStats};

@@ -1,12 +1,18 @@
 //! The disk-resident store: the paper's actual operating regime.
 //!
-//! [`GraphStore`] keeps every column in memory; the paper instead ran
+//! [`GraphStore`] keeps every column in memory. The paper instead ran
 //! hundreds of gigabytes off one HDD, where the cost of a query *is* the
-//! columns it reads. [`DiskGraphStore`] reproduces that: it opens a saved
-//! database directory, pulls bitmap/measure columns from disk on demand
-//! through a byte-budgeted cache, and answers the same queries with the
-//! same results (asserted by the disk_store integration tests). Under a
-//! cold cache, `IoStats::disk_reads` *is* the paper's cost model.
+//! columns it reads. [`DiskGraphStore`] reproduces that. It opens a saved
+//! database directory and pulls bitmap and measure columns from disk on
+//! demand through a byte-budgeted cache.
+//!
+//! This module evaluates nothing itself. Its column handles (`Cols`: the
+//! [`DiskRelation`] plus an optional per-batch pin map) implement the
+//! executor's `ColumnSource` trait, so the disk store runs the in-memory
+//! store's plan, gather and aggregation code. Answers and logical
+//! [`IoStats`] therefore match the in-memory store exactly (asserted by the
+//! disk_store integration tests). Under a cold cache,
+//! `IoStats::disk_reads` *is* the paper's cost model.
 //!
 //! ```no_run
 //! # use graphbi::disk::DiskGraphStore;
@@ -20,18 +26,17 @@ use std::path::Path;
 
 use graphbi_bitmap::Bitmap;
 use graphbi_columnstore::{
-    os_vfs, persist, BitmapRef, ColumnRef, DiskRelation, IoStats, StoreError, Verify, Vfs,
-    VfsHandle,
+    os_vfs, persist, AggViewId, BitmapRef, ColumnRef, DiskRelation, IoStats, StoreError, Verify,
+    Vfs, VfsHandle, ViewId,
 };
 use graphbi_graph::{
-    AggFn, AggState, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryExpr,
-    QueryResult, Universe, UniverseIoError,
+    AggFn, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryResult, Universe,
+    UniverseIoError,
 };
-use graphbi_views::{cover_path, rewrite_query_ranked, PathSegment};
 
-use crate::engine;
-use crate::session::{dedup_requests, QueryRequest, RequestKind, Response, Session, SessionError};
-use crate::viewmgr::{base_kind, compatible, BaseKind};
+use crate::engine::{self, ColumnSource, EvalOptions};
+use crate::session::{evaluate_batch, QueryRequest, Response, Session, SessionError};
+use crate::viewmgr::{base_kind, AggViewDef, GraphViewDef, ViewCatalog};
 use crate::GraphStore;
 
 /// Errors from the disk store.
@@ -148,21 +153,7 @@ pub fn save_store_with_format(
 ) -> Result<u64, DiskError> {
     // View definitions: the relation holds only the columns; the defs that
     // map them back to edge sets live in a text sidecar.
-    let mut meta = String::new();
-    for v in store.graph_views() {
-        meta.push('g');
-        for e in &v.edges {
-            meta.push_str(&format!(" {}", e.0));
-        }
-        meta.push('\n');
-    }
-    for v in store.agg_views() {
-        meta.push_str(&format!("a {}", v.func.name()));
-        for e in &v.edges {
-            meta.push_str(&format!(" {}", e.0));
-        }
-        meta.push('\n');
-    }
+    let meta = store.catalog().render_meta();
     let universe = store.universe().to_text();
     let mut sidecars: Vec<(&str, &[u8])> = vec![
         (UNIVERSE_SIDECAR, universe.as_bytes()),
@@ -189,39 +180,78 @@ pub fn load_store(dir: &Path) -> Result<GraphStore, DiskError> {
 /// [`load_store`] through an injectable [`Vfs`], optionally skipping
 /// payload checksum verification (see [`Verify`]).
 pub fn load_store_with(vfs: &dyn Vfs, dir: &Path, verify: Verify) -> Result<GraphStore, DiskError> {
-    let universe_bytes = persist::read_sidecar(vfs, dir, UNIVERSE_SIDECAR)?;
-    let universe = Universe::parse_text(
-        std::str::from_utf8(&universe_bytes)
-            .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?,
-    )?;
+    let universe = parse_universe(&persist::read_sidecar(vfs, dir, UNIVERSE_SIDECAR)?)?;
     let relation = persist::load_with(vfs, dir, verify)?;
-    let mut store = GraphStore::from_relation_keeping_views(universe, relation);
-    let meta_bytes = persist::read_sidecar(vfs, dir, VIEWS_META_SIDECAR)?;
-    let meta = std::str::from_utf8(&meta_bytes)
-        .map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
-    let mut graph_idx = 0u32;
-    let mut agg_idx = 0u32;
-    for line in meta.lines().filter(|l| !l.is_empty()) {
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("g") => {
-                store.attach_graph_view(parse_edges(parts)?, graph_idx);
-                graph_idx += 1;
+    let catalog = ViewCatalog::parse_meta(
+        &persist::read_sidecar(vfs, dir, VIEWS_META_SIDECAR)?,
+        relation.view_count(),
+        relation.agg_view_count(),
+    )?;
+    Ok(GraphStore::with_catalog(universe, relation, catalog))
+}
+
+fn parse_universe(bytes: &[u8]) -> Result<Universe, DiskError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?;
+    Ok(Universe::parse_text(text)?)
+}
+
+/// The `views_meta.txt` codec: one line per view in column order,
+/// `g <edge ids…>` for a graph view and `a <FUNC> <edge ids…>` for an
+/// aggregate view.
+impl ViewCatalog {
+    fn render_meta(&self) -> String {
+        let mut meta = String::new();
+        for v in &self.graph_views {
+            meta.push('g');
+            for e in &v.edges {
+                meta.push_str(&format!(" {}", e.0));
             }
-            Some("a") => {
-                let func = parse_agg_fn(parts.next())?;
-                store.attach_agg_view(parse_edges(parts)?, func, agg_idx);
-                agg_idx += 1;
-            }
-            _ => return Err(DiskError::ViewsMeta("unknown view kind")),
+            meta.push('\n');
         }
+        for v in &self.agg_views {
+            meta.push_str(&format!("a {}", v.func.name()));
+            for e in &v.edges {
+                meta.push_str(&format!(" {}", e.0));
+            }
+            meta.push('\n');
+        }
+        meta
     }
-    if graph_idx as usize != store.relation().view_count()
-        || agg_idx as usize != store.relation().agg_view_count()
-    {
-        return Err(DiskError::ViewsMeta("definition/column count mismatch"));
+
+    /// Parses a sidecar written by [`ViewCatalog::render_meta`] for a
+    /// relation holding `views` graph-view and `agg_views` aggregate-view
+    /// columns. The `i`th definition of each kind names column `i`.
+    fn parse_meta(bytes: &[u8], views: usize, agg_views: usize) -> Result<ViewCatalog, DiskError> {
+        let meta = std::str::from_utf8(bytes)
+            .map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
+        let mut catalog = ViewCatalog::default();
+        for line in meta.lines().filter(|l| !l.is_empty()) {
+            let mut parts = line.split(' ');
+            match parts.next() {
+                Some("g") => {
+                    let id = ViewId(u32::try_from(catalog.graph_views.len()).expect("fits u32"));
+                    let edges = parse_edges(parts)?;
+                    catalog.graph_views.push(GraphViewDef { edges, id });
+                }
+                Some("a") => {
+                    let id = AggViewId(u32::try_from(catalog.agg_views.len()).expect("fits u32"));
+                    let func = parse_agg_fn(parts.next())?;
+                    catalog.agg_views.push(AggViewDef {
+                        edges: parse_edges(parts)?,
+                        func,
+                        kind: base_kind(func),
+                        id,
+                    });
+                }
+                _ => return Err(DiskError::ViewsMeta("unknown view kind")),
+            }
+        }
+        if catalog.graph_views.len() != views || catalog.agg_views.len() != agg_views {
+            return Err(DiskError::ViewsMeta("definition/column count mismatch"));
+        }
+        Ok(catalog)
     }
-    Ok(store)
 }
 
 fn parse_agg_fn(token: Option<&str>) -> Result<AggFn, DiskError> {
@@ -235,23 +265,21 @@ fn parse_agg_fn(token: Option<&str>) -> Result<AggFn, DiskError> {
     }
 }
 
-/// A stored graph-view definition (disk side).
-struct DiskGraphView {
-    edges: Vec<EdgeId>,
-}
-
-/// A stored aggregate-view definition (disk side).
-struct DiskAggView {
-    edges: Vec<EdgeId>,
-    kind: BaseKind,
+fn parse_edges<'a, I: Iterator<Item = &'a str>>(parts: I) -> Result<Vec<EdgeId>, DiskError> {
+    parts
+        .map(|p| {
+            p.parse::<u32>()
+                .map(EdgeId)
+                .map_err(|_| DiskError::ViewsMeta("edge id not a number"))
+        })
+        .collect()
 }
 
 /// A read-only, disk-resident graph store.
 pub struct DiskGraphStore {
     universe: Universe,
     relation: DiskRelation,
-    graph_views: Vec<DiskGraphView>,
-    agg_views: Vec<DiskAggView>,
+    catalog: ViewCatalog,
 }
 
 impl DiskGraphStore {
@@ -275,44 +303,16 @@ impl DiskGraphStore {
         verify: Verify,
     ) -> Result<DiskGraphStore, DiskError> {
         let relation = DiskRelation::open_with(dir, cache_bytes, vfs, verify)?;
-        let universe_bytes = relation.sidecar(UNIVERSE_SIDECAR)?;
-        let universe = Universe::parse_text(
-            std::str::from_utf8(&universe_bytes)
-                .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?,
+        let universe = parse_universe(&relation.sidecar(UNIVERSE_SIDECAR)?)?;
+        let catalog = ViewCatalog::parse_meta(
+            &relation.sidecar(VIEWS_META_SIDECAR)?,
+            relation.view_count(),
+            relation.agg_view_count(),
         )?;
-        let mut graph_views = Vec::new();
-        let mut agg_views = Vec::new();
-        let meta_bytes = relation.sidecar(VIEWS_META_SIDECAR)?;
-        let meta = std::str::from_utf8(&meta_bytes)
-            .map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
-        for line in meta.lines().filter(|l| !l.is_empty()) {
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("g") => {
-                    let edges = parse_edges(parts)?;
-                    graph_views.push(DiskGraphView { edges });
-                }
-                Some("a") => {
-                    let func = parse_agg_fn(parts.next())?;
-                    let edges = parse_edges(parts)?;
-                    agg_views.push(DiskAggView {
-                        edges,
-                        kind: base_kind(func),
-                    });
-                }
-                _ => return Err(DiskError::ViewsMeta("unknown view kind")),
-            }
-        }
-        if graph_views.len() != relation.view_count()
-            || agg_views.len() != relation.agg_view_count()
-        {
-            return Err(DiskError::ViewsMeta("definition/column count mismatch"));
-        }
         Ok(DiskGraphStore {
             universe,
             relation,
-            graph_views,
-            agg_views,
+            catalog,
         })
     }
 
@@ -353,18 +353,23 @@ impl DiskGraphStore {
         query: &GraphQuery,
         stats: &mut IoStats,
     ) -> Result<Bitmap, DiskError> {
-        self.match_records_inner(
+        let opts = EvalOptions::default();
+        Ok(engine::structural(
+            self.cols(None),
+            &self.catalog,
             query,
-            crate::EvalOptions::default(),
+            opts,
             1,
-            &self.direct(),
             stats,
-        )
+        )?)
     }
 
     /// Full graph-query evaluation.
     pub fn evaluate(&self, query: &GraphQuery) -> Result<(QueryResult, IoStats), DiskError> {
-        self.evaluate_inner(query, crate::EvalOptions::default(), 1, &self.direct())
+        let mut stats = IoStats::new();
+        let opts = EvalOptions::default();
+        let result = engine::evaluate(self.cols(None), &self.catalog, query, opts, 1, &mut stats)?;
+        Ok((result, stats))
     }
 
     /// Path aggregation, composing stored aggregate views.
@@ -372,370 +377,36 @@ impl DiskGraphStore {
         &self,
         paq: &PathAggQuery,
     ) -> Result<(PathAggResult, IoStats), DiskError> {
-        self.path_aggregate_inner(paq, crate::EvalOptions::default(), 1, &self.direct())
+        let mut stats = IoStats::new();
+        let result = engine::path_aggregate(
+            &self.universe,
+            self.cols(None),
+            &self.catalog,
+            paq,
+            EvalOptions::default(),
+            1,
+            &mut stats,
+        )??;
+        Ok((result, stats))
     }
 
-    /// Column access with no batch pin map: every fetch goes straight to
-    /// the relation's LRU cache, exactly the pre-batching behaviour.
-    fn direct(&self) -> Cols<'_> {
+    /// Column access through the relation's LRU cache, additionally pinned
+    /// in `pins` when evaluating a batch.
+    fn cols<'a>(&'a self, pins: Option<&'a Pins>) -> Cols<'a> {
         Cols {
             relation: &self.relation,
-            pins: None,
+            pins,
         }
     }
 
-    fn match_records_inner(
-        &self,
-        query: &GraphQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-        stats: &mut IoStats,
-    ) -> Result<Bitmap, DiskError> {
-        if query.is_empty() {
-            let mut sp = graphbi_obs::span("phase.plan");
-            sp.attr("estimated_matches", self.relation.record_count());
-            return Ok(Bitmap::from_range(
-                0..u32::try_from(self.relation.record_count()).expect("record count fits u32"),
-            ));
-        }
-        let mut sp = graphbi_obs::span("phase.plan");
-        let before = (stats.bitmap_columns, stats.view_bitmap_columns);
-        // Hold every fetched bitmap handle, then AND through the derefs.
-        let mut refs: Vec<BitmapRef> = Vec::with_capacity(query.len());
-        if !opts.use_views || self.graph_views.is_empty() {
-            for &e in query.edges() {
-                refs.push(cols.edge_bitmap(e, stats)?);
-            }
-            self.relation.note_partitions(query.edges(), stats);
-        } else {
-            let views: Vec<Vec<EdgeId>> =
-                self.graph_views.iter().map(|v| v.edges.clone()).collect();
-            // Coverage ties go to the view with the shortest encoded bitmap
-            // — a cardinality proxy read from the in-memory directory, so
-            // ranking costs no disk read and no counted fetch.
-            let plan = rewrite_query_ranked(query, &views, |vi| {
-                self.relation
-                    .view_bitmap_hint(u32::try_from(vi).expect("view index fits u32"))
-            });
-            for &vi in &plan.views {
-                refs.push(
-                    cols.view_bitmap(u32::try_from(vi).expect("view index fits u32"), stats)?,
-                );
-            }
-            for &e in &plan.residual_edges {
-                refs.push(cols.edge_bitmap(e, stats)?);
-            }
-            if !plan.residual_edges.is_empty() {
-                self.relation.note_partitions(&plan.residual_edges, stats);
-            }
-        }
-        if sp.is_live() {
-            sp.attr("bitmap_columns", stats.bitmap_columns - before.0);
-            sp.attr("view_bitmap_columns", stats.view_bitmap_columns - before.1);
-            // Same estimate the in-memory planner reports: the rarest
-            // operand bounds the intersection.
-            sp.attr(
-                "estimated_matches",
-                refs.iter().map(|r| r.cardinality_hint()).min().unwrap_or(0),
-            );
-        }
-        drop(sp);
-        let raw: Vec<&Bitmap> = refs.iter().map(|r| &**r).collect();
-        Ok(engine::and_many_sharded(
-            &raw,
-            self.relation.record_count(),
-            shards,
-        ))
-    }
-
-    /// Logical combination of graph queries as bitmap algebra — the disk
-    /// counterpart of [`GraphStore::evaluate_expr`], reachable through
-    /// [`Session::execute`] with [`QueryRequest::expr`].
-    fn eval_expr_inner(
-        &self,
-        expr: &QueryExpr,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-        stats: &mut IoStats,
-    ) -> Result<Bitmap, DiskError> {
-        Ok(match expr {
-            QueryExpr::Atom(q) => self.match_records_inner(q, opts, shards, cols, stats)?,
-            QueryExpr::And(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .and(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-            QueryExpr::Or(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .or(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-            QueryExpr::AndNot(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .and_not(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-        })
-    }
-
-    fn evaluate_inner(
-        &self,
-        query: &GraphQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-    ) -> Result<(QueryResult, IoStats), DiskError> {
-        let mut stats = IoStats::new();
-        let ids = self.match_records_inner(query, opts, shards, cols, &mut stats)?;
-        let edges = query.edges().to_vec();
-        let n = usize::try_from(ids.len()).expect("result fits usize");
-        let w = edges.len();
-        let mut measures = Vec::new();
-        let mut sp = graphbi_obs::span("phase.measure");
-        if n == 0 {
-            // Provably-empty result: the measure fetches (and their pins)
-            // are skipped outright — same counting rule as the in-memory
-            // engine, so the two stores' stats reconcile exactly.
-            stats.fetches_skipped += w as u64;
-            sp.attr("fetches_skipped", w as u64);
-        }
-        if n > 0 && w > 0 {
-            self.relation.note_partitions(&edges, &mut stats);
-            let mut crefs: Vec<ColumnRef> = Vec::with_capacity(w);
-            for &e in &edges {
-                crefs.push(cols.edge_measures(e, &mut stats)?);
-            }
-            stats.values_fetched += (n * w) as u64;
-            if sp.is_live() {
-                sp.attr("measure_columns", w as u64);
-                sp.attr("values_fetched", (n * w) as u64);
-            }
-            let gather_block = |sub: &Bitmap| -> Vec<f64> {
-                let sn = usize::try_from(sub.len()).expect("result fits usize");
-                let mut block = vec![0.0f64; sn * w];
-                for (j, col) in crefs.iter().enumerate() {
-                    // Fused gather-transpose straight into the record-major
-                    // block, no per-column value vector.
-                    let mut i = 0;
-                    col.fold_over(sub, |v| {
-                        block[i * w + j] = v;
-                        i += 1;
-                    });
-                }
-                block
-            };
-            measures = if shards <= 1 {
-                gather_block(&ids)
-            } else {
-                // Disjoint, ordered record ranges: the record-major shard
-                // blocks concatenate into the serial matrix.
-                let ranges = self.relation.shard_ranges(shards);
-                let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
-                    let mut shard_sp = graphbi_obs::span("shard.measure");
-                    shard_sp.attr("shard", s as u64);
-                    gather_block(&ids.slice(ranges[s].clone()))
-                });
-                drop(sp);
-                let mut msp = graphbi_obs::span("phase.merge");
-                msp.attr("parts", blocks.len() as u64);
-                blocks.into_iter().flatten().collect()
-            };
-        }
-        Ok((
-            QueryResult {
-                records: ids.to_vec(),
-                edges,
-                measures,
-            },
-            stats,
-        ))
-    }
-
-    fn path_aggregate_inner(
-        &self,
-        paq: &PathAggQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-    ) -> Result<(PathAggResult, IoStats), DiskError> {
-        let mut stats = IoStats::new();
-        let paths = paq.query.maximal_paths(&self.universe)?;
-        let ids = self.match_records_inner(&paq.query, opts, shards, cols, &mut stats)?;
-        let n = usize::try_from(ids.len()).expect("result fits usize");
-        let path_count = paths.len();
-
-        // Aggregate views compatible with the query's function.
-        let mut avail_idx = Vec::new();
-        let mut avail_seqs = Vec::new();
-        if opts.use_views {
-            for (i, v) in self.agg_views.iter().enumerate() {
-                if compatible(v.kind, paq.func) {
-                    avail_idx.push(i);
-                    avail_seqs.push(v.edges.clone());
-                }
-            }
-        }
-
-        // One measure source per fetched column, in the order the serial
-        // engine folds them into the per-record state.
-        enum Source {
-            View {
-                count: u64,
-                kind: BaseKind,
-                col: ColumnRef,
-            },
-            Edge(ColumnRef),
-        }
-
-        // Plan phase: resolve every path's sources once, counting every
-        // fetch exactly as the serial engine does.
-        let mut sp = graphbi_obs::span("phase.plan");
-        let before = (
-            stats.measure_columns,
-            stats.agg_view_columns,
-            stats.fetches_skipped,
-        );
-        let mut plans: Vec<Vec<Source>> = Vec::with_capacity(path_count);
-        for path in &paths {
-            let cons: Vec<EdgeId> = path
-                .nodes()
-                .windows(2)
-                .map(|w| {
-                    self.universe
-                        .find_edge(w[0], w[1])
-                        .expect("maximal path edges exist")
-                })
-                .collect();
-            let extras: Vec<EdgeId> = path
-                .elements(&self.universe)?
-                .into_iter()
-                .filter(|e| !cons.contains(e))
-                .collect();
-            let cover = cover_path(&cons, &avail_seqs);
-            if n == 0 {
-                // Nothing matched: skip (and count) every source fetch this
-                // path would have made — mirrors the in-memory engine.
-                stats.fetches_skipped += (cover.segments.len() + extras.len()) as u64;
-                plans.push(Vec::new());
-                continue;
-            }
-            let mut sources: Vec<Source> = Vec::new();
-            for seg in &cover.segments {
-                match *seg {
-                    PathSegment::View { view, .. } => {
-                        let def = &self.agg_views[avail_idx[view]];
-                        sources.push(Source::View {
-                            count: def.edges.len() as u64,
-                            kind: def.kind,
-                            col: cols.agg_view(
-                                u32::try_from(avail_idx[view]).expect("agg index fits u32"),
-                                &mut stats,
-                            )?,
-                        });
-                    }
-                    PathSegment::Edge(e) => {
-                        sources.push(Source::Edge(cols.edge_measures(e, &mut stats)?));
-                    }
-                }
-            }
-            for &e in &extras {
-                sources.push(Source::Edge(cols.edge_measures(e, &mut stats)?));
-            }
-            stats.values_fetched += (n * sources.len()) as u64;
-            plans.push(sources);
-        }
-        if sp.is_live() {
-            sp.attr("measure_columns", stats.measure_columns - before.0);
-            sp.attr("agg_view_columns", stats.agg_view_columns - before.1);
-            sp.attr("fetches_skipped", stats.fetches_skipped - before.2);
-        }
-        drop(sp);
-
-        // Compute phase: per-record folds are independent, so shards over
-        // disjoint record ranges replay the serial operation order exactly.
-        let compute = |sub: &Bitmap| -> Vec<f64> {
-            let sn = usize::try_from(sub.len()).expect("result fits usize");
-            let mut values = vec![f64::NAN; sn * path_count];
-            for (pi, sources) in plans.iter().enumerate() {
-                let mut states = vec![AggState::empty(); sn];
-                for source in sources {
-                    // Fused gather-aggregate: values stream from the pinned
-                    // column straight into the per-record states.
-                    match source {
-                        Source::View { count, kind, col } => {
-                            let mut i = 0;
-                            col.fold_over(sub, |v| {
-                                let mut s = AggState::empty();
-                                s.count = *count;
-                                match kind {
-                                    BaseKind::Sum => s.sum = v,
-                                    BaseKind::Min => s.min = v,
-                                    BaseKind::Max => s.max = v,
-                                }
-                                states[i].merge(&s);
-                                i += 1;
-                            });
-                        }
-                        Source::Edge(col) => {
-                            let mut i = 0;
-                            col.fold_over(sub, |v| {
-                                states[i].push(v);
-                                i += 1;
-                            });
-                        }
-                    }
-                }
-                for (i, s) in states.iter().enumerate() {
-                    values[i * path_count + pi] = s.finalize(paq.func).unwrap_or(f64::NAN);
-                }
-            }
-            values
-        };
-
-        let sp = graphbi_obs::span("phase.measure");
-        let values = if shards <= 1 {
-            compute(&ids)
-        } else {
-            let ranges = self.relation.shard_ranges(shards);
-            let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
-                let mut shard_sp = graphbi_obs::span("shard.measure");
-                shard_sp.attr("shard", s as u64);
-                compute(&ids.slice(ranges[s].clone()))
-            });
-            drop(sp);
-            let mut msp = graphbi_obs::span("phase.merge");
-            msp.attr("parts", blocks.len() as u64);
-            blocks.into_iter().flatten().collect()
-        };
-
-        Ok((
-            PathAggResult {
-                records: ids.to_vec(),
-                path_count,
-                values,
-            },
-            stats,
-        ))
-    }
-
-    fn execute_cols(
+    fn execute_with(
         &self,
         request: &QueryRequest,
-        cols: &Cols<'_>,
+        pins: Option<&Pins>,
     ) -> Result<(Response, IoStats), SessionError> {
-        match &request.kind {
-            RequestKind::Graph(q) => {
-                let (r, stats) = self.evaluate_inner(q, request.options, request.shards, cols)?;
-                Ok((Response::Records(r), stats))
-            }
-            RequestKind::Expr(e) => {
-                let mut stats = IoStats::new();
-                let b =
-                    self.eval_expr_inner(e, request.options, request.shards, cols, &mut stats)?;
-                Ok((Response::Matches(b), stats))
-            }
-            RequestKind::Aggregate(p) => {
-                let (r, stats) =
-                    self.path_aggregate_inner(p, request.options, request.shards, cols)?;
-                Ok((Response::Aggregates(r), stats))
-            }
-        }
+        let answer = engine::execute(&self.universe, self.cols(pins), &self.catalog, request)
+            .map_err(DiskError::Store)?;
+        Ok(answer.map_err(DiskError::Graph)?)
     }
 }
 
@@ -747,7 +418,7 @@ impl Session for DiskGraphStore {
     }
 
     fn execute(&self, request: &QueryRequest) -> Result<(Response, IoStats), SessionError> {
-        self.execute_cols(request, &self.direct())
+        self.execute_with(request, None)
     }
 
     /// Batched evaluation with column-fetch sharing: one pin map holds
@@ -762,120 +433,115 @@ impl Session for DiskGraphStore {
         requests: &[QueryRequest],
     ) -> Result<Vec<(Response, IoStats)>, SessionError> {
         let pins = Pins::default();
-        let (firsts, assign) = dedup_requests(requests);
-        let threads = requests.iter().map(|r| r.shards).max().unwrap_or(1);
-        let distinct = crate::parallel::run_indexed(firsts.len(), threads, |i| {
-            let mut sp = graphbi_obs::span("request");
-            sp.attr("request", firsts[i] as u64);
-            let mut req = requests[firsts[i]].clone();
-            if firsts.len() > 1 {
-                // Workload-level parallelism owns the pool (see the
-                // GraphStore impl); answers are shard-count independent.
-                req.shards = 1;
-            }
-            self.execute_cols(
-                &req,
-                &Cols {
-                    relation: &self.relation,
-                    pins: Some(&pins),
-                },
-            )
-        });
-        let distinct: Vec<(Response, IoStats)> = distinct.into_iter().collect::<Result<_, _>>()?;
-        Ok(assign.iter().map(|&a| distinct[a].clone()).collect())
+        evaluate_batch(requests, |r| self.execute_with(r, Some(&pins)))
     }
 }
+
+/// One batch-wide pin map, keyed by column id.
+type PinMap<R> = parking_lot::Mutex<HashMap<u32, R>>;
 
 /// Batch-wide column pins: fetched handles keyed by column id. A hit hands
 /// out a clone of the held `Arc` handle — no LRU traffic, no disk read —
 /// and still counts the logical column fetch on the caller's stats.
 #[derive(Default)]
 struct Pins {
-    bitmaps: parking_lot::Mutex<HashMap<u32, BitmapRef>>,
-    views: parking_lot::Mutex<HashMap<u32, BitmapRef>>,
-    measures: parking_lot::Mutex<HashMap<u32, ColumnRef>>,
-    aggs: parking_lot::Mutex<HashMap<u32, ColumnRef>>,
+    bitmaps: PinMap<BitmapRef>,
+    views: PinMap<BitmapRef>,
+    measures: PinMap<ColumnRef>,
+    aggs: PinMap<ColumnRef>,
 }
 
-/// Column access for one evaluation: straight through the relation's LRU
+/// The disk store's [`ColumnSource`]: straight through the relation's LRU
 /// cache, or additionally pinned in a batch-wide map.
+#[derive(Clone, Copy)]
 struct Cols<'a> {
     relation: &'a DiskRelation,
     pins: Option<&'a Pins>,
 }
 
-impl Cols<'_> {
-    fn edge_bitmap(&self, e: EdgeId, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.edge_bitmap(e, stats)?),
-            Some(p) => {
-                let mut map = p.bitmaps.lock();
-                if let Some(r) = map.get(&e.0) {
-                    stats.bitmap_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.edge_bitmap(e, stats)?;
-                map.insert(e.0, r.clone());
-                Ok(r)
-            }
-        }
+/// Fetches through `map` when pinning: a hit bumps the logical fetch
+/// counter `counter` selects and returns the held handle; a miss fetches
+/// (which counts) and pins the result.
+fn pinned<R: Clone>(
+    map: Option<&PinMap<R>>,
+    key: u32,
+    stats: &mut IoStats,
+    counter: fn(&mut IoStats) -> &mut u64,
+    fetch: impl FnOnce(&mut IoStats) -> Result<R, StoreError>,
+) -> Result<R, StoreError> {
+    let Some(map) = map else {
+        return fetch(stats);
+    };
+    let mut map = map.lock();
+    if let Some(r) = map.get(&key) {
+        *counter(stats) += 1;
+        return Ok(r.clone());
     }
-
-    fn view_bitmap(&self, v: u32, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.view_bitmap(v, stats)?),
-            Some(p) => {
-                let mut map = p.views.lock();
-                if let Some(r) = map.get(&v) {
-                    stats.view_bitmap_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.view_bitmap(v, stats)?;
-                map.insert(v, r.clone());
-                Ok(r)
-            }
-        }
-    }
-
-    fn edge_measures(&self, e: EdgeId, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.edge_measures(e, stats)?),
-            Some(p) => {
-                let mut map = p.measures.lock();
-                if let Some(r) = map.get(&e.0) {
-                    stats.measure_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.edge_measures(e, stats)?;
-                map.insert(e.0, r.clone());
-                Ok(r)
-            }
-        }
-    }
-
-    fn agg_view(&self, a: u32, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.agg_view(a, stats)?),
-            Some(p) => {
-                let mut map = p.aggs.lock();
-                if let Some(r) = map.get(&a) {
-                    stats.agg_view_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.agg_view(a, stats)?;
-                map.insert(a, r.clone());
-                Ok(r)
-            }
-        }
-    }
+    let r = fetch(stats)?;
+    map.insert(key, r.clone());
+    Ok(r)
 }
 
-fn parse_edges<'a, I: Iterator<Item = &'a str>>(parts: I) -> Result<Vec<EdgeId>, DiskError> {
-    parts
-        .map(|p| {
-            p.parse::<u32>()
-                .map(EdgeId)
-                .map_err(|_| DiskError::ViewsMeta("edge id not a number"))
-        })
-        .collect()
+impl ColumnSource for Cols<'_> {
+    type Bits = BitmapRef;
+    type Col = ColumnRef;
+    type Error = StoreError;
+
+    fn record_count(&self) -> u64 {
+        self.relation.record_count()
+    }
+
+    fn partition_of(&self, edge: EdgeId) -> usize {
+        self.relation.partition_of(edge)
+    }
+
+    /// The view bitmap's encoded length, read from the in-memory directory:
+    /// ranking costs no disk read and no counted fetch.
+    fn view_hint(&self, view: ViewId) -> u64 {
+        self.relation.view_bitmap_hint(view.0)
+    }
+
+    fn edge_bitmap(&self, edge: EdgeId, stats: &mut IoStats) -> Result<BitmapRef, StoreError> {
+        let map = self.pins.map(|p| &p.bitmaps);
+        pinned(
+            map,
+            edge.0,
+            stats,
+            |s| &mut s.bitmap_columns,
+            |s| self.relation.edge_bitmap(edge, s),
+        )
+    }
+
+    fn view_bitmap(&self, view: ViewId, stats: &mut IoStats) -> Result<BitmapRef, StoreError> {
+        let map = self.pins.map(|p| &p.views);
+        pinned(
+            map,
+            view.0,
+            stats,
+            |s| &mut s.view_bitmap_columns,
+            |s| self.relation.view_bitmap(view.0, s),
+        )
+    }
+
+    fn edge_measures(&self, edge: EdgeId, stats: &mut IoStats) -> Result<ColumnRef, StoreError> {
+        let map = self.pins.map(|p| &p.measures);
+        pinned(
+            map,
+            edge.0,
+            stats,
+            |s| &mut s.measure_columns,
+            |s| self.relation.edge_measures(edge, s),
+        )
+    }
+
+    fn agg_view(&self, view: AggViewId, stats: &mut IoStats) -> Result<ColumnRef, StoreError> {
+        let map = self.pins.map(|p| &p.aggs);
+        pinned(
+            map,
+            view.0,
+            stats,
+            |s| &mut s.agg_view_columns,
+            |s| self.relation.agg_view(view.0, s),
+        )
+    }
 }

@@ -27,10 +27,16 @@
 //! # Ok::<(), graphbi::SessionError>(())
 //! ```
 //!
-//! Batched workloads go through [`Session::evaluate_many`], which backends
-//! override to share work across the batch (duplicate-request elimination on
-//! the in-memory store, shared column fetches on the disk store, a single
-//! read-lock snapshot on [`crate::SharedStore`]).
+//! Both stores answer a request through the same executor (`engine`),
+//! which is generic over the column-access trait `ColumnSource`. Only
+//! column access differs per backend.
+//!
+//! Batched workloads go through [`Session::evaluate_many`]. The in-memory
+//! and disk stores share one batch body, `evaluate_batch`: duplicate
+//! requests are answered once, and the distinct ones run on a worker pool.
+//! The disk store adds a per-batch pin map so each column is fetched at
+//! most once per batch. [`crate::SharedStore`] runs a whole batch under a
+//! single read-lock snapshot.
 
 use graphbi_bitmap::Bitmap;
 use graphbi_columnstore::IoStats;
@@ -237,6 +243,34 @@ pub trait Session {
     fn profile(&self, request: &QueryRequest) -> Result<(Response, crate::Profile), SessionError> {
         crate::explain::profile_request(self, "session", None, request)
     }
+}
+
+/// The one batch body behind the stores' [`Session::evaluate_many`].
+///
+/// Duplicate requests are answered once. The distinct requests run through
+/// `execute` on a worker pool sized by the batch's largest shard knob. Each
+/// duplicate reports the stats of its first occurrence, so the batch's
+/// summed cost reflects the work actually done.
+pub(crate) fn evaluate_batch(
+    requests: &[QueryRequest],
+    execute: impl Fn(&QueryRequest) -> Result<(Response, IoStats), SessionError> + Sync,
+) -> Result<Vec<(Response, IoStats)>, SessionError> {
+    let (firsts, assign) = dedup_requests(requests);
+    let threads = requests.iter().map(|r| r.shards).max().unwrap_or(1);
+    let distinct = crate::parallel::run_indexed(firsts.len(), threads, |i| {
+        let mut sp = graphbi_obs::span("request");
+        sp.attr("request", firsts[i] as u64);
+        let mut req = requests[firsts[i]].clone();
+        if firsts.len() > 1 {
+            // Workload-level parallelism owns the pool; nested per-request
+            // sharding would oversubscribe it. Answers and stats are
+            // shard-count independent, so this is pure scheduling.
+            req.shards = 1;
+        }
+        execute(&req)
+    });
+    let distinct: Vec<(Response, IoStats)> = distinct.into_iter().collect::<Result<_, _>>()?;
+    Ok(assign.iter().map(|&a| distinct[a].clone()).collect())
 }
 
 /// Deduplicated batch order: returns `(firsts, assign)` where `firsts`

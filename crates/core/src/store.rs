@@ -9,7 +9,7 @@ use graphbi_graph::{
 use graphbi_views as views;
 
 use crate::engine::{self, EvalOptions};
-use crate::session::{dedup_requests, QueryRequest, RequestKind, Response, Session, SessionError};
+use crate::session::{evaluate_batch, QueryRequest, Response, Session, SessionError};
 use crate::viewmgr::{self, AggViewDef, GraphViewDef, ViewCatalog};
 
 /// A queryable collection of graph records: the paper's full stack — flat
@@ -59,36 +59,18 @@ impl GraphStore {
         }
     }
 
-    /// Wraps a relation keeping its stored view columns; the caller must
-    /// attach the matching definitions (see [`crate::disk::load_store`]).
-    pub(crate) fn from_relation_keeping_views(
+    /// Wraps a relation keeping its stored view columns, described by
+    /// `catalog` (see [`crate::disk::load_store`]).
+    pub(crate) fn with_catalog(
         universe: Universe,
         relation: MasterRelation,
+        catalog: ViewCatalog,
     ) -> GraphStore {
         GraphStore {
             universe,
             relation,
-            catalog: ViewCatalog::default(),
+            catalog,
         }
-    }
-
-    /// Reattaches a graph-view definition to the already-stored column
-    /// `index` (load path only).
-    pub(crate) fn attach_graph_view(&mut self, edges: Vec<EdgeId>, index: u32) {
-        self.catalog.graph_views.push(GraphViewDef {
-            edges,
-            id: graphbi_columnstore::ViewId(index),
-        });
-    }
-
-    /// Reattaches an aggregate-view definition (load path only).
-    pub(crate) fn attach_agg_view(&mut self, edges: Vec<EdgeId>, func: AggFn, index: u32) {
-        self.catalog.agg_views.push(AggViewDef {
-            edges,
-            func,
-            kind: viewmgr::base_kind(func),
-            id: graphbi_columnstore::AggViewId(index),
-        });
     }
 
     /// The shared naming scheme.
@@ -155,51 +137,30 @@ impl GraphStore {
     /// The records containing the query graph, as a bitmap — the structural
     /// half of evaluation, using materialized views when possible.
     pub fn match_records(&self, query: &GraphQuery, stats: &mut IoStats) -> Bitmap {
-        engine::structural(
+        let Ok(ids) = engine::structural(
             &self.relation,
             &self.catalog,
             query,
             EvalOptions::default(),
             1,
             stats,
-        )
+        );
+        ids
     }
 
     /// Full graph-query evaluation: matching records plus the measures of
     /// the query's edges (§4.2's SELECT).
     pub fn evaluate(&self, query: &GraphQuery) -> (QueryResult, IoStats) {
-        self.eval_graph(query, EvalOptions::default(), 1)
-    }
-
-    /// Graph-query evaluation under explicit options and shard count — the
-    /// one implementation behind [`GraphStore::evaluate`] and the
-    /// [`Session`] impl.
-    fn eval_graph(
-        &self,
-        query: &GraphQuery,
-        opts: EvalOptions,
-        shards: usize,
-    ) -> (QueryResult, IoStats) {
         let mut stats = IoStats::new();
-        let ids = engine::structural(
+        let Ok(result) = engine::evaluate(
             &self.relation,
             &self.catalog,
             query,
-            opts,
-            shards,
+            EvalOptions::default(),
+            1,
             &mut stats,
         );
-        let edges = query.edges().to_vec();
-        let measures =
-            engine::fetch_measure_matrix(&self.relation, &edges, &ids, shards, &mut stats);
-        (
-            QueryResult {
-                records: ids.to_vec(),
-                edges,
-                measures,
-            },
-            stats,
-        )
+        (result, stats)
     }
 
     /// Measure-fetch phase in isolation: the record-major measure matrix of
@@ -207,20 +168,22 @@ impl GraphStore {
     /// two evaluation phases separately (the paper's Figures 6–7 break query
     /// time into "fetch measures" and "rest of query").
     pub fn fetch_measures(&self, edges: &[EdgeId], ids: &Bitmap, stats: &mut IoStats) -> Vec<f64> {
-        engine::fetch_measure_matrix(&self.relation, edges, ids, 1, stats)
+        let Ok(matrix) = engine::fetch_measure_matrix(&self.relation, edges, ids, 1, stats);
+        matrix
     }
 
     /// Evaluates a logical combination of graph queries (§3.2) to the
     /// matching record set.
     pub fn evaluate_expr(&self, expr: &QueryExpr, stats: &mut IoStats) -> Bitmap {
-        engine::eval_expr(
+        let Ok(ids) = engine::eval_expr(
             &self.relation,
             &self.catalog,
             expr,
             EvalOptions::default(),
             1,
             stats,
-        )
+        );
+        ids
     }
 
     /// Streaming evaluation: calls `f(record, measure_row)` for every match,
@@ -235,14 +198,7 @@ impl GraphStore {
     ) -> IoStats {
         let chunk = chunk.max(1);
         let mut stats = IoStats::new();
-        let ids = engine::structural(
-            &self.relation,
-            &self.catalog,
-            query,
-            EvalOptions::default(),
-            1,
-            &mut stats,
-        );
+        let ids = self.match_records(query, &mut stats);
         let edges = query.edges();
         let mut pending: Vec<graphbi_bitmap::RecordId> = Vec::with_capacity(chunk);
         let mut flush = |pending: &mut Vec<graphbi_bitmap::RecordId>, stats: &mut IoStats| {
@@ -251,7 +207,7 @@ impl GraphStore {
             }
             let mut b = graphbi_bitmap::Bitmap::new();
             b.extend(pending.iter().copied());
-            let rows = engine::fetch_measure_matrix(&self.relation, edges, &b, 1, stats);
+            let rows = self.fetch_measures(edges, &b, stats);
             let w = edges.len();
             for (i, &rid) in pending.iter().enumerate() {
                 f(rid, &rows[i * w..(i + 1) * w]);
@@ -298,29 +254,17 @@ impl GraphStore {
         &self,
         query: &PathAggQuery,
     ) -> Result<(PathAggResult, IoStats), GraphError> {
-        self.eval_agg(query, EvalOptions::default(), 1)
-    }
-
-    /// Path aggregation under explicit options and shard count — the one
-    /// implementation behind [`GraphStore::path_aggregate`] and the
-    /// [`Session`] impl.
-    fn eval_agg(
-        &self,
-        query: &PathAggQuery,
-        opts: EvalOptions,
-        shards: usize,
-    ) -> Result<(PathAggResult, IoStats), GraphError> {
         let mut stats = IoStats::new();
-        let result = engine::path_aggregate(
+        let Ok(result) = engine::path_aggregate(
             &self.universe,
             &self.relation,
             &self.catalog,
             query,
-            opts,
-            shards,
+            EvalOptions::default(),
+            1,
             &mut stats,
-        )?;
-        Ok((result, stats))
+        );
+        Ok((result?, stats))
     }
 
     // ------------------------------------------------------------------
@@ -405,56 +349,17 @@ impl Session for GraphStore {
     }
 
     fn execute(&self, request: &QueryRequest) -> Result<(Response, IoStats), SessionError> {
-        match &request.kind {
-            RequestKind::Graph(q) => {
-                let (r, stats) = self.eval_graph(q, request.options, request.shards);
-                Ok((Response::Records(r), stats))
-            }
-            RequestKind::Expr(e) => {
-                let mut stats = IoStats::new();
-                let b = engine::eval_expr(
-                    &self.relation,
-                    &self.catalog,
-                    e,
-                    request.options,
-                    request.shards,
-                    &mut stats,
-                );
-                Ok((Response::Matches(b), stats))
-            }
-            RequestKind::Aggregate(p) => {
-                let (r, stats) = self.eval_agg(p, request.options, request.shards)?;
-                Ok((Response::Aggregates(r), stats))
-            }
-        }
+        let Ok(answer) = engine::execute(&self.universe, &self.relation, &self.catalog, request);
+        Ok(answer?)
     }
 
-    /// Batched evaluation: duplicate requests (common under Zipf-skewed
-    /// workloads) are answered once, and the distinct requests run on a
-    /// worker pool sized by the batch's largest shard knob. Each duplicate
-    /// reports the stats of its first occurrence — the batch's summed cost
-    /// reflects the work actually done.
+    /// Batched evaluation through the shared `evaluate_batch` body: duplicate requests,
+    /// common under Zipf-skewed workloads, are answered once.
     fn evaluate_many(
         &self,
         requests: &[QueryRequest],
     ) -> Result<Vec<(Response, IoStats)>, SessionError> {
-        let (firsts, assign) = dedup_requests(requests);
-        let threads = requests.iter().map(|r| r.shards).max().unwrap_or(1);
-        let distinct = crate::parallel::run_indexed(firsts.len(), threads, |i| {
-            let mut sp = graphbi_obs::span("request");
-            sp.attr("request", firsts[i] as u64);
-            let mut req = requests[firsts[i]].clone();
-            if firsts.len() > 1 {
-                // Workload-level parallelism owns the pool; nested
-                // per-request sharding would oversubscribe it. Answers and
-                // stats are shard-count independent, so this is pure
-                // scheduling.
-                req.shards = 1;
-            }
-            self.execute(&req)
-        });
-        let distinct: Vec<(Response, IoStats)> = distinct.into_iter().collect::<Result<_, _>>()?;
-        Ok(assign.iter().map(|&a| distinct[a].clone()).collect())
+        evaluate_batch(requests, |r| self.execute(r))
     }
 }
 

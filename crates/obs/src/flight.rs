@@ -54,7 +54,7 @@ impl Sampler {
     /// One atomic fetch-add; never reads a clock.
     pub fn sample(&self) -> bool {
         let k = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.every > 0 && (k.wrapping_add(self.seed)) % self.every == 0
+        self.every > 0 && k.wrapping_add(self.seed).is_multiple_of(self.every)
     }
 
     /// Calls decided so far.

@@ -509,7 +509,11 @@ impl HistSnapshot {
             let prev = cum;
             cum = cum.saturating_add(c);
             if cum >= rank {
-                let lower = if i == 0 { 0 } else { bucket_bound(i - 1).saturating_add(1) };
+                let lower = if i == 0 {
+                    0
+                } else {
+                    bucket_bound(i - 1).saturating_add(1)
+                };
                 let upper = bucket_bound(i);
                 // Position of the rank inside this bucket, in [0, 1].
                 let frac = if c <= 1 {

@@ -231,9 +231,7 @@ impl Client {
                 // the failing request can be TRACEd; strip it from the
                 // human-facing message.
                 if let Some(last) = words.last() {
-                    if let Some(rid) = last
-                        .strip_prefix("id=")
-                        .and_then(|v| v.parse::<u64>().ok())
+                    if let Some(rid) = last.strip_prefix("id=").and_then(|v| v.parse::<u64>().ok())
                     {
                         self.last_rid = Some(rid);
                         words.pop();

@@ -16,9 +16,9 @@
 //!   lines through the [`Vfs`](graphbi_columnstore::Vfs) trait — the
 //!   durable workload log.
 //!
-//! The unsampled fast path costs one atomic (rid) + one atomic (sampler)
-//! + a comparison against the threshold; nothing is allocated and no ring
-//! is touched.
+//! The unsampled fast path costs one atomic (rid), one atomic (sampler)
+//! and a comparison against the threshold; nothing is allocated and no
+//! ring is touched.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -380,10 +380,7 @@ mod tests {
         assert_eq!(doc.get("id").and_then(json::Json::as_u64), Some(9));
         assert_eq!(doc.get("status").and_then(json::Json::as_u64), Some(101));
         assert_eq!(doc.get("total_us").and_then(json::Json::as_u64), Some(42));
-        assert_eq!(
-            doc.get("error").and_then(json::Json::as_str),
-            Some("boom")
-        );
+        assert_eq!(doc.get("error").and_then(json::Json::as_str), Some("boom"));
         let prof = doc.get("profile").expect("nested profile");
         assert_eq!(
             prof.get("backend").and_then(json::Json::as_str),

@@ -1289,7 +1289,7 @@ fn batcher_loop(ctx: &Arc<Ctx>) {
             let sent = match job.pinned.profile(&job.request) {
                 Ok((response, profile)) => Ok(JobOutcome {
                     response,
-                    io: profile.stats.clone(),
+                    io: profile.stats,
                     wait_ns: waits[0],
                     batch: 1,
                     profile: Some(profile),

@@ -392,8 +392,7 @@ fn trace_replays_profile_bit_identically_on_mem_and_disk() {
 
     let disk_vfs = Arc::new(graphbi_columnstore::FaultVfs::new(0x71e7));
     let disk_dir = std::path::PathBuf::from("/flightdb");
-    graphbi::disk::save_store_with(disk_vfs.as_ref(), &load(), &disk_dir)
-        .expect("save disk store");
+    graphbi::disk::save_store_with(disk_vfs.as_ref(), &load(), &disk_dir).expect("save disk store");
     let disk = graphbi::MvccStore::open_disk(
         &disk_dir,
         16 << 20,
@@ -502,7 +501,10 @@ fn slowlog_forces_capture_and_exports_framed_json() {
 
     // SLOWLOG: one JSON entry per request, newest first, rids descending.
     let entries = client.slowlog(Some(16)).expect("slowlog");
-    assert!(entries.len() >= 3, "expected ≥3 slow entries, got {entries:?}");
+    assert!(
+        entries.len() >= 3,
+        "expected ≥3 slow entries, got {entries:?}"
+    );
     let mut last_rid = u64::MAX;
     for line in &entries {
         let doc = graphbi_obs::json::parse(line).expect("slowlog entry JSON");
@@ -516,12 +518,10 @@ fn slowlog_forces_capture_and_exports_framed_json() {
     }
     // The client correlation id rode into the failing request's entry.
     assert!(
-        entries
-            .iter()
-            .any(|l| graphbi_obs::json::parse(l)
-                .ok()
-                .and_then(|d| d.get("id").and_then(graphbi_obs::json::Json::as_u64))
-                == Some(42)),
+        entries.iter().any(|l| graphbi_obs::json::parse(l)
+            .ok()
+            .and_then(|d| d.get("id").and_then(graphbi_obs::json::Json::as_u64))
+            == Some(42)),
         "correlation id missing from {entries:?}"
     );
 
@@ -559,9 +559,13 @@ fn slowlog_forces_capture_and_exports_framed_json() {
         .get("slow")
         .and_then(graphbi_obs::json::Json::as_u64)
         .expect("recorder.slow");
-    assert!(slow >= entries.len() as u64, "TOP undercounts slow captures");
+    assert!(
+        slow >= entries.len() as u64,
+        "TOP undercounts slow captures"
+    );
     assert_eq!(
-        rec.get("sample_every").and_then(graphbi_obs::json::Json::as_u64),
+        rec.get("sample_every")
+            .and_then(graphbi_obs::json::Json::as_u64),
         Some(0)
     );
     client.quit().expect("quit");

@@ -1,8 +1,8 @@
 //! Disk-resident store: identical answers to the in-memory store, with
 //! honest I/O accounting.
 
-use graphbi::disk::{save_store, DiskGraphStore};
-use graphbi::{AggFn, GraphStore, PathAggQuery};
+use graphbi::disk::{save_store, DiskError, DiskGraphStore};
+use graphbi::{AggFn, GraphStore, IoStats, PathAggQuery, QueryExpr, QueryRequest, Session};
 use graphbi_graph::GraphQuery;
 use graphbi_workload::{queries::QuerySpec, Dataset, DatasetSpec};
 
@@ -13,13 +13,21 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 }
 
 fn build(with_views: bool) -> (GraphStore, Vec<GraphQuery>) {
+    build_with_width(with_views, None)
+}
+
+/// [`build`] at an explicit partition width (`None`: the default width).
+fn build_with_width(with_views: bool, width: Option<usize>) -> (GraphStore, Vec<GraphQuery>) {
     let spec = DatasetSpec {
         n_records: 400,
         ..DatasetSpec::ny(400)
     };
     let d = Dataset::synthesize(&spec);
     let qs = d.queries(&QuerySpec::zipf(30));
-    let mut store = GraphStore::load(d.universe, &d.records);
+    let mut store = match width {
+        Some(w) => GraphStore::load_with_width(d.universe, &d.records, w),
+        None => GraphStore::load(d.universe, &d.records),
+    };
     if with_views {
         store.advise_views(&qs, 10);
         store.advise_agg_views(&qs, AggFn::Sum, 10).unwrap();
@@ -27,23 +35,58 @@ fn build(with_views: bool) -> (GraphStore, Vec<GraphQuery>) {
     (store, qs)
 }
 
+/// The logical cost of a request: every counter but the physical
+/// `disk_reads`/`disk_bytes`, which only the disk store charges.
+fn logical(mut stats: IoStats) -> IoStats {
+    stats.disk_reads = 0;
+    stats.disk_bytes = 0;
+    stats
+}
+
+/// Both backends run one executor, so they agree on answers *and* on the
+/// logical cost of every request: partition touches, §6.1 recid joins and
+/// skipped fetches included.
 #[test]
 fn disk_answers_equal_memory_answers() {
-    let dir = tmpdir("equal");
-    let (mem, qs) = build(false);
-    save_store(&mem, &dir).unwrap();
-    let disk = DiskGraphStore::open(&dir, 16 << 20).unwrap();
-    assert_eq!(disk.record_count(), mem.record_count());
-    for q in &qs {
-        let (m, _) = mem.evaluate(q);
-        let (d, _) = disk.evaluate(q).unwrap();
-        assert_eq!(d, m);
-        let paq = PathAggQuery::new(q.clone(), AggFn::Sum);
-        let (ma, _) = mem.path_aggregate(&paq).unwrap();
-        let (da, _) = disk.path_aggregate(&paq).unwrap();
-        assert_eq!(da, ma);
+    for width in [None, Some(8)] {
+        for with_views in [false, true] {
+            let dir = tmpdir(&format!("equal-{width:?}-{with_views}"));
+            let (mem, qs) = build_with_width(with_views, width);
+            save_store(&mem, &dir).unwrap();
+            let disk = DiskGraphStore::open(&dir, 16 << 20).unwrap();
+            assert_eq!(disk.record_count(), mem.record_count());
+            for (i, q) in qs.iter().enumerate() {
+                let (m, _) = mem.evaluate(q);
+                let (d, _) = disk.evaluate(q).unwrap();
+                assert_eq!(d, m);
+                let paq = PathAggQuery::new(q.clone(), AggFn::Sum);
+                let (ma, _) = mem.path_aggregate(&paq).unwrap();
+                let (da, _) = disk.path_aggregate(&paq).unwrap();
+                assert_eq!(da, ma);
+
+                let next = qs[(i + 1) % qs.len()].clone();
+                let expr = QueryExpr::or(
+                    QueryExpr::and(q.clone().into(), next.clone().into()),
+                    QueryExpr::and_not(next.into(), q.clone().into()),
+                );
+                for request in [
+                    QueryRequest::new(q.clone()),
+                    QueryRequest::expr(expr),
+                    QueryRequest::aggregate(paq),
+                ] {
+                    let (mr, ms) = mem.execute(&request).unwrap();
+                    let (dr, ds) = disk.execute(&request).unwrap();
+                    assert_eq!(dr, mr, "{request:?}");
+                    assert_eq!(
+                        logical(ds),
+                        logical(ms),
+                        "width {width:?}, views {with_views}: {request:?}"
+                    );
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -159,4 +202,43 @@ fn cold_disk_reads_equal_cost_model() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every malformed `views_meta.txt` is a typed `ViewsMeta` error from both
+/// openers, which share one sidecar parser.
+#[test]
+fn malformed_views_meta_is_typed_from_both_openers() {
+    let (mem, _) = build(false);
+    let universe = mem.universe().to_text();
+    let cases: [(&str, &[u8]); 5] = [
+        ("non-utf8", b"g 1 \xff\n"),
+        ("unknown-kind", b"x 1 2\n"),
+        ("unknown-func", b"a MEDIAN 1 2\n"),
+        ("non-numeric-edge", b"g 1 two\n"),
+        // A well-formed definition for a view column the relation lacks.
+        ("count-mismatch", b"g 1 2\n"),
+    ];
+    for (name, meta) in cases {
+        let dir = tmpdir(&format!("meta-{name}"));
+        let sidecars: [(&str, &[u8]); 2] = [
+            ("universe.txt", universe.as_bytes()),
+            ("views_meta.txt", meta),
+        ];
+        graphbi_columnstore::persist::save_with(
+            graphbi_columnstore::os_vfs().as_ref(),
+            mem.relation(),
+            &sidecars,
+            &dir,
+        )
+        .unwrap();
+        let loaded = graphbi::disk::load_store(&dir).map(|_| ());
+        let opened = DiskGraphStore::open(&dir, 1 << 20).map(|_| ());
+        for (opener, result) in [("load_store", loaded), ("open", opened)] {
+            match result {
+                Err(e @ DiskError::ViewsMeta(_)) => assert!(e.is_corruption()),
+                other => panic!("{name} via {opener}: expected ViewsMeta, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
