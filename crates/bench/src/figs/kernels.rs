@@ -7,9 +7,10 @@
 //!   clone-accumulator conjunction (clone the smallest operand, then
 //!   allocating per-chunk ANDs) vs the in-place kernels behind
 //!   [`Bitmap::and_many`];
-//! * **fused vs materializing aggregation** — `gather` into a `Vec` then
-//!   fold, vs [`SparseColumn::fold_over`] streaming values straight into
-//!   the aggregate state;
+//! * **positional gather** — the old `fold_over` (a `contains` + `rank`
+//!   per id below the ⅛-of-presence threshold, a lockstep scan of every
+//!   present record above it) vs [`SparseColumn::fold_over`]'s one rank
+//!   walk, at 7% and 60% presence × ≈2 400 and 40 ids;
 //! * **ordered vs unordered conjunctions** on a Zipf-cardinality workload —
 //!   what the selectivity-ordered planner buys over evaluating operands in
 //!   query order.
@@ -110,6 +111,64 @@ fn and_fold_unordered(bitmaps: &[&Bitmap]) -> Bitmap {
         acc = acc.and(b);
     }
     acc
+}
+
+/// The positional gather before the rank walk: a point lookup per id
+/// (`contains`, then a `rank` that re-counts from the column start) when
+/// `ids` is under ⅛ of the presence count, else a lockstep scan over every
+/// present record.
+fn fold_over_per_id_rank(col: &SparseColumn, ids: &Bitmap, mut f: impl FnMut(f64)) {
+    let presence = col.presence();
+    if ids.len() * 8 < presence.len() {
+        ids.for_each(|r| {
+            if let Some(v) = col.get(r) {
+                f(v);
+            }
+        });
+    } else {
+        let mut wanted = ids.iter().peekable();
+        for (r, v) in col.iter() {
+            while wanted.peek().is_some_and(|&w| w < r) {
+                wanted.next();
+            }
+            match wanted.peek() {
+                Some(&w) if w == r => {
+                    f(v);
+                    wanted.next();
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+    }
+}
+
+/// A 200k-record measure column at `pct`% presence and a result set of
+/// `n_ids` of its present records, both drawn from `seed`.
+fn gather_inputs(pct: u32, n_ids: usize, seed: u64) -> (SparseColumn, Bitmap) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let presence: Bitmap = (0..200_000u32)
+        .filter(|_| rng.gen_range(0..100u32) < pct)
+        .collect();
+    let n = presence.len() as usize;
+    let values: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..10.5)).collect();
+    let keep = n_ids as f64 / n as f64;
+    let ids: Bitmap = presence.iter().filter(|_| rng.gen_bool(keep)).collect();
+    let mut col = SparseColumn::from_parts(presence, values);
+    col.optimize();
+    (col, ids)
+}
+
+/// Running sum and count of gathered values; equal only when both saw the
+/// same values in the same order.
+#[derive(Default, PartialEq)]
+struct SumCount(f64, u64);
+
+impl SumCount {
+    fn push(&mut self, v: f64) {
+        self.0 += v;
+        self.1 += 1;
+    }
 }
 
 /// One baseline-vs-kernel measurement.
@@ -246,15 +305,23 @@ pub fn run() -> bool {
     let dense_refs: Vec<&Bitmap> = dense.iter().collect();
     let mixed_refs: Vec<&Bitmap> = mixed.iter().collect();
 
-    // Fused-aggregation inputs: a 1M-value measure column and a result set
-    // covering half of it.
+    // Full-column aggregation inputs: a 1M-value measure column and a
+    // result set covering all of it.
     let col = {
         let presence: Bitmap = (0..2_000_000u32).step_by(2).collect();
         let values: Vec<f64> = (0..1_000_000).map(|i| (i % 97) as f64).collect();
         SparseColumn::from_parts(presence, values)
     };
-    let ids: Bitmap = (0..2_000_000u32).step_by(4).collect();
     let ids_all: Bitmap = (0..2_000_000u32).collect();
+
+    // Positional-gather inputs: the shapes `serve-hot` results take
+    // (≈2 400 ids) and a tiny result, over a sparse and a dense column.
+    let gathers = [
+        ("aggregate/p7_ids2400", gather_inputs(7, 2_400, 7), 400),
+        ("aggregate/p7_ids40", gather_inputs(7, 40, 8), 20_000),
+        ("aggregate/p60_ids2400", gather_inputs(60, 2_400, 9), 400),
+        ("aggregate/p60_ids40", gather_inputs(60, 40, 10), 20_000),
+    ];
 
     // Zipf conjunction workload: 200 conjunctions of 4 operands each, in
     // deliberately unsorted (often worst-first) order.
@@ -272,19 +339,11 @@ pub fn run() -> bool {
         })
         .collect();
 
-    // Scalar-vs-SIMD dispatch inputs: a dense word block for the popcount
-    // kernel, and a dictionary-heavy column whose v3 frame (FoR-packed
-    // presence + packed dictionary indices) exercises the vectorized
-    // decode path end to end.
+    // Scalar-vs-SIMD dispatch input: a dense word block for the popcount
+    // kernel.
     let words: Vec<u64> = (0..1 << 20)
         .map(|i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();
-    let v3_frame = {
-        let presence: Bitmap = (0..1_000_000u32).step_by(17).collect();
-        let n = presence.len() as usize;
-        let values: Vec<f64> = (0..n).map(|i| f64::from((i % 23) as u32) * 1.5).collect();
-        SparseColumn::from_parts(presence, values).encode_v3()
-    };
 
     let mut comparisons = vec![
         compare(
@@ -309,32 +368,6 @@ pub fn run() -> bool {
             |a, b| a == b,
         ),
         compare(
-            "aggregate/fused",
-            5,
-            || {
-                // Materializing: gather into a Vec, then fold it.
-                let vals = col.gather(&ids);
-                let mut sum = 0.0f64;
-                let mut min = f64::INFINITY;
-                for v in vals {
-                    sum += v;
-                    min = min.min(v);
-                }
-                (sum, min)
-            },
-            || {
-                let mut sum = 0.0f64;
-                let mut min = f64::INFINITY;
-                col.fold_over(&ids, |v| {
-                    sum += v;
-                    min = min.min(v);
-                });
-                (sum, min)
-            },
-            // Same fold order on both paths → exact equality, no tolerance.
-            |a, b| a == b,
-        ),
-        compare(
             "conjunction/zipf-ordered",
             1,
             || {
@@ -352,6 +385,24 @@ pub fn run() -> bool {
             |a, b| a == b,
         ),
     ];
+    for (name, (gcol, gids), reps) in &gathers {
+        comparisons.push(compare(
+            name,
+            *reps,
+            || {
+                let mut acc = SumCount::default();
+                fold_over_per_id_rank(gcol, gids, |v| acc.push(v));
+                acc
+            },
+            || {
+                let mut acc = SumCount::default();
+                gcol.fold_over(gids, |v| acc.push(v));
+                acc
+            },
+            // Same value order on both paths → exact equality, no tolerance.
+            |a, b| a == b,
+        ));
+    }
 
     // Scalar vs SIMD: the same dispatched operation timed under both
     // forced kernel paths. `base` is forced-scalar, `kernel` forced-SIMD;
@@ -396,12 +447,6 @@ pub fn run() -> bool {
             // Aggregate over a covering result set — the raw fast path
             // that hands the whole value slice to the vector fold.
             || fold_key(&col.fold_aggregate(&ids_all)),
-            |a, b| a == b,
-        ),
-        compare_simd(
-            "simd/decode_v3_for",
-            5,
-            || SparseColumn::decode_v3(&mut v3_frame.clone()).expect("bench frame decodes"),
             |a, b| a == b,
         ),
     ]);
@@ -495,6 +540,19 @@ mod tests {
             let base = and_many_cloning(&refs);
             assert_eq!(base, Bitmap::and_many(refs.iter().copied()));
             assert_eq!(and_fold_unordered(&refs), base);
+        }
+    }
+
+    #[test]
+    fn per_id_rank_baseline_agrees_with_rank_walk() {
+        for (pct, n_ids) in [(7, 2_400), (7, 40), (60, 2_400), (60, 40)] {
+            let (col, ids) = gather_inputs(pct, n_ids, 1);
+            let mut base = Vec::new();
+            fold_over_per_id_rank(&col, &ids, |v| base.push(v.to_bits()));
+            let mut walk = Vec::new();
+            col.fold_over(&ids, |v| walk.push(v.to_bits()));
+            assert_eq!(base.len() as u64, ids.len());
+            assert_eq!(base, walk, "{pct}% presence, {n_ids} ids");
         }
     }
 }

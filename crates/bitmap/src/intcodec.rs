@@ -255,11 +255,11 @@ impl PackedInts {
 
     /// Bulk-decodes up to `out.len()` consecutive values starting at index
     /// `start` into `out`, returning how many were written (`0` when
-    /// `start >= len()`). This is the vectorized block path behind
-    /// frame-of-reference and dictionary-index decoding — equivalent to
+    /// `start >= len()`). This is the block path behind frame-of-reference
+    /// and dictionary-index decoding — equivalent to
     /// `out[k] = self.get(start + k)` but decoded through
-    /// [`crate::kernels::unpack_bits`], which dispatches to the AVX2
-    /// gather/shift unpacker when available.
+    /// [`crate::kernels::unpack_bits`], one unaligned 8-byte window per
+    /// value.
     pub fn unpack_into(&self, start: usize, out: &mut [u64]) -> usize {
         let n = out.len().min(self.len.saturating_sub(start));
         crate::kernels::unpack_bits(

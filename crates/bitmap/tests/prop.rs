@@ -206,6 +206,48 @@ proptest! {
         prop_assert_eq!(low, bm);
     }
 
+    /// The rank walk is exactly `filter(contains).map(rank)`, for every
+    /// pairing of container shapes on the two sides (built form and
+    /// post-`optimize` form), including ids the presence side lacks.
+    #[test]
+    fn rank_walk_matches_rank(
+        p in shaped_ids(),
+        ids in shaped_ids(),
+        optimize_p in any::<bool>(),
+        optimize_ids in any::<bool>(),
+        stride in 1usize..40,
+    ) {
+        let (mut bp, mut bi) = (bitmap(&p), bitmap(&ids));
+        if optimize_p {
+            bp.optimize();
+        }
+        if optimize_ids {
+            bi.optimize();
+        }
+        prop_assert_eq!(rank_walk(&bp, &bi), rank_reference(&bp, &bi));
+        // A subset of the presence side, gaps short and long: every id is
+        // found.
+        let sub: Bitmap = bp.iter().step_by(stride).collect();
+        let walked = rank_walk(&bp, &sub);
+        prop_assert_eq!(walked.len() as u64, sub.len());
+        prop_assert_eq!(walked, rank_reference(&bp, &sub));
+    }
+
+    /// Same at container boundaries and the top of the id space.
+    #[test]
+    fn rank_walk_matches_rank_at_boundaries(
+        p in boundary_ids(),
+        ids in boundary_ids(),
+        optimize_p in any::<bool>(),
+    ) {
+        let (mut bp, bi) = (bitmap(&p), bitmap(&ids));
+        if optimize_p {
+            bp.optimize();
+        }
+        prop_assert_eq!(rank_walk(&bp, &bi), rank_reference(&bp, &bi));
+        prop_assert_eq!(rank_walk(&bp, &bp), (0..bp.len()).collect::<Vec<_>>());
+    }
+
     #[test]
     fn and_many_matches_fold_at_boundaries(
         sets in prop::collection::vec(boundary_ids(), 1..5),
@@ -216,6 +258,61 @@ proptest! {
             .fold(bitmaps[0].clone(), |acc, b| acc.and(b));
         prop_assert_eq!(Bitmap::and_many(bitmaps.iter()), fold);
     }
+}
+
+fn rank_walk(presence: &Bitmap, ids: &Bitmap) -> Vec<u64> {
+    let mut out = Vec::new();
+    presence.for_each_rank_of(ids, |r| out.push(r));
+    out
+}
+
+/// The independent model of the walk: one `rank` per present id.
+fn rank_reference(presence: &Bitmap, ids: &Bitmap) -> Vec<u64> {
+    ids.iter()
+        .filter(|&r| presence.contains(r))
+        .map(|r| presence.rank(r))
+        .collect()
+}
+
+/// Whole chunks in a chosen shape, at keys that include the 65 535/65 536
+/// boundary and the top of the id space: scattered lows (array), a dense
+/// stride (words) or a few intervals (runs after `optimize`).
+fn shaped_ids() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(
+        (
+            prop_oneof![Just(0u32), Just(1u32), Just(3u32), Just(0xFFFFu32)],
+            0u32..3,
+            any::<u32>(),
+        ),
+        0..3,
+    )
+    .prop_map(|chunks| {
+        let mut out = Vec::new();
+        for (key, shape, seed) in chunks {
+            let base = key << 16;
+            match shape {
+                0 => out.extend(
+                    (0..seed % 700).map(|i| base | (i.wrapping_mul(0x9E37_79B9) ^ seed) & 0xFFFF),
+                ),
+                1 => {
+                    let step = 8 + seed % 8;
+                    out.extend(
+                        (seed % step..65_536)
+                            .step_by(step as usize)
+                            .map(|l| base | l),
+                    );
+                }
+                _ => {
+                    for i in 0..1 + seed % 4 {
+                        let start = seed.rotate_left(8 * i) & 0xFFFF;
+                        let end = (start + 1 + (seed >> (4 * i)) % 3_000).min(65_536);
+                        out.extend((start..end).map(|l| base | l));
+                    }
+                }
+            }
+        }
+        out
+    })
 }
 
 /// Ids hugging container boundaries (multiples of 65 536) and the edges

@@ -121,8 +121,8 @@ impl Measures {
 
     /// Streams every value in rank order through `f`. Dictionary blocks
     /// are resolved a block at a time: the packed indices go through the
-    /// dispatched unpack kernel and the dictionary lookups through the
-    /// dispatched gather kernel, instead of per-element bit reads.
+    /// block unpack kernel and the dictionary lookups through the gather
+    /// kernel, instead of per-element bit reads.
     pub(crate) fn fold_all(&self, f: &mut impl FnMut(f64)) {
         match self {
             Measures::Raw(v) => {

@@ -77,35 +77,27 @@ impl SparseColumn {
     /// like [`SparseColumn::gather`] (which is this kernel folded into a
     /// `Vec`).
     ///
-    /// Uses rank-based point lookups when `ids` is much smaller than the
-    /// column, streams every value when `ids` covers the whole presence
-    /// set (the common full-column aggregate, served by the block-decode
-    /// kernels), and falls back to a lockstep scan otherwise.
+    /// When `ids` covers the whole presence set (the full-column aggregate)
+    /// every value streams through the block-decode kernels. Otherwise one
+    /// [`Bitmap::for_each_rank_of`] walk turns each present id into its
+    /// value offset — both key lists once, ranks incremental inside each
+    /// container — so the cost is linear in the ids and containers touched,
+    /// never a per-id rank from the column start.
     pub fn fold_over(&self, ids: &Bitmap, mut f: impl FnMut(f64)) {
-        if ids.len() * 8 < self.presence.len() {
-            ids.for_each(|r| {
-                if let Some(v) = self.get(r) {
-                    f(v);
-                }
-            });
-        } else if ids.len() >= self.presence.len() && self.presence.is_subset(ids) {
+        if self.covered_by(ids) {
             self.values.fold_all(&mut f);
         } else {
-            let mut wanted = ids.iter().peekable();
-            for (idx, r) in self.presence.iter().enumerate() {
-                while wanted.peek().is_some_and(|&w| w < r) {
-                    wanted.next();
-                }
-                match wanted.peek() {
-                    Some(&w) if w == r => {
-                        f(self.values.get(idx));
-                        wanted.next();
-                    }
-                    Some(_) => {}
-                    None => break,
-                }
-            }
+            self.presence.for_each_rank_of(ids, |r| {
+                f(self
+                    .values
+                    .get(usize::try_from(r).expect("rank fits usize")))
+            });
         }
+    }
+
+    /// True when `ids` contains every present record.
+    fn covered_by(&self, ids: &Bitmap) -> bool {
+        ids.len() >= self.presence.len() && self.presence.is_subset(ids)
     }
 
     /// Folds the values of every record in `ids` into a SUM/MIN/MAX/COUNT
@@ -115,21 +107,14 @@ impl SparseColumn {
     /// hardware. When `ids` covers the whole column and the values are
     /// raw, the slice goes straight through the SIMD fold kernel.
     pub fn fold_aggregate(&self, ids: &Bitmap) -> FoldAgg {
-        if ids.len() >= self.presence.len() && self.presence.is_subset(ids) {
-            if let Some(slice) = self.values.raw_slice() {
-                return kernels::fold_f64(slice);
+        match self.values.raw_slice() {
+            Some(slice) if self.covered_by(ids) => kernels::fold_f64(slice),
+            _ => {
+                let mut agg = FoldAgg::new();
+                self.fold_over(ids, |v| agg.push(v));
+                agg
             }
         }
-        let mut agg = FoldAgg::new();
-        self.fold_over(ids, |v| agg.push(v));
-        agg
-    }
-
-    /// Gathers `(record, value)` pairs for `ids`, ascending by record.
-    pub fn gather_with_ids(&self, ids: &Bitmap) -> Vec<(RecordId, f64)> {
-        ids.iter()
-            .filter_map(|r| self.get(r).map(|v| (r, v)))
-            .collect()
     }
 
     /// Re-encodes the presence bitmap in its smallest representation; call
@@ -297,10 +282,10 @@ mod tests {
     fn gather_both_paths_agree() {
         let entries: Vec<(u32, f64)> = (0..10_000).map(|i| (i * 3, f64::from(i))).collect();
         let c = column(&entries);
-        // Small id set → rank path.
+        // Small id set → rank walk.
         let small: Bitmap = [3u32, 9, 29_997].into_iter().collect();
         assert_eq!(c.gather(&small), vec![1.0, 3.0, 9_999.0]);
-        // Large id set → scan path.
+        // Covering id set → whole-column stream.
         let large: Bitmap = (0..30_000u32).collect();
         let got = c.gather(&large);
         assert_eq!(got.len(), 10_000);
@@ -334,7 +319,11 @@ mod tests {
         let c = column(&[(10, 1.0), (20, 2.0)]);
         let ids: Bitmap = [5u32, 10, 15, 20, 25].into_iter().collect();
         assert_eq!(c.gather(&ids), vec![1.0, 2.0]);
-        assert_eq!(c.gather_with_ids(&ids), vec![(10, 1.0), (20, 2.0)]);
+        let pairs: Vec<(u32, f64)> = ids
+            .iter()
+            .filter_map(|r| c.get(r).map(|v| (r, v)))
+            .collect();
+        assert_eq!(pairs, vec![(10, 1.0), (20, 2.0)]);
     }
 
     #[test]

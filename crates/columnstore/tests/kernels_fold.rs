@@ -39,11 +39,12 @@ fn specials_column(n: u32) -> SparseColumn {
     SparseColumn::from_parts(presence, values)
 }
 
-/// The reference answer: the scalar kernel recurrence applied in rank
-/// order, exactly as `fold_over` streams values.
+/// The reference answer: the scalar kernel recurrence applied to one
+/// point lookup (`get`, a `rank` per id) per record, in record order —
+/// independent of the rank walk `fold_over` and `gather` share.
 fn reference_agg(col: &SparseColumn, ids: &Bitmap) -> FoldAgg {
     let mut agg = FoldAgg::new();
-    for v in col.gather(ids) {
+    for v in ids.iter().filter_map(|r| col.get(r)) {
         agg.push(v);
     }
     agg
@@ -59,7 +60,22 @@ fn fold_aggregate_matches_reference_on_raw_and_dict() {
     let everything: Bitmap = (0..20_000u32).collect();
     let subset: Bitmap = (0..4_000u32).map(|i| i * 6).collect();
     let disjoint: Bitmap = (0..100u32).map(|i| i * 3 + 1).collect();
-    for ids in [&everything, raw.presence(), &subset, &disjoint] {
+    // Present ids at ⅛ of the presence count ±1 and at 1/40: the two sides
+    // of the old point-lookup/lockstep switch (`ids.len() * 8 < presence`).
+    let spread = |n: usize| -> Bitmap { raw.presence().iter().step_by(7).take(n).collect() };
+    let eighth = raw.presence().len() as usize / 8;
+    let mut thresholds: Vec<Bitmap> = [eighth - 1, eighth, eighth + 1, eighth / 5]
+        .into_iter()
+        .map(spread)
+        .collect();
+    // The same sizes with absent ids mixed in (`ids ⊄ presence`).
+    let with_absent: Vec<Bitmap> = thresholds
+        .iter()
+        .map(|b| b.iter().map(|r| r + (r / 3) % 2).collect())
+        .collect();
+    thresholds.extend(with_absent);
+    let fixed = [&everything, raw.presence(), &subset, &disjoint];
+    for ids in fixed.into_iter().chain(&thresholds) {
         let want = reference_agg(&raw, ids);
         for col in [&raw, &dict] {
             let got = col.fold_aggregate(ids);
@@ -71,6 +87,13 @@ fn fold_aggregate_matches_reference_on_raw_and_dict() {
             let mut streamed = FoldAgg::new();
             col.fold_over(ids, |v| streamed.push(v));
             assert!(agg_eq(&streamed, &want));
+            let looked_up: Vec<u64> = ids
+                .iter()
+                .filter_map(|r| col.get(r))
+                .map(f64::to_bits)
+                .collect();
+            let gathered: Vec<u64> = col.gather(ids).into_iter().map(f64::to_bits).collect();
+            assert_eq!(gathered, looked_up, "gather diverged at {} ids", ids.len());
         }
     }
 }
