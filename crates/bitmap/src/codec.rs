@@ -19,10 +19,12 @@
 //!
 //! Tags 0–2 are the raw (format v2) container payloads; tags 3–5 are the
 //! compressed forms introduced by on-disk format v3. [`Bitmap::encode`]
-//! emits only raw tags (the v2 writer and the WAL use it);
+//! emits only raw tags — the raw reference that tests and the `compress`
+//! bench measure the codecs against; no store file is written with it (v2
+//! is read-only, and the WAL logs `(edge, value)` pairs, not bitmaps).
 //! [`Bitmap::encode_v3`] picks, per container, whichever candidate form is
-//! smallest. [`Bitmap::decode`] accepts all six tags, so a v3-capable
-//! reader loads v2 files unchanged. Decoding materializes standard
+//! smallest. [`Bitmap::decode`] accepts all six tags, so the one reader
+//! loads v2 files unchanged. Decoding materializes standard
 //! containers — compression is a storage-layer concern, and the column
 //! cache ensures each fetched block is decoded at most once.
 

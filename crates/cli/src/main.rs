@@ -74,8 +74,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn open(dir: &Path) -> Result<GraphStore, String> {
     // A freshly-synthesized database has no views metadata; one touched by
-    // `advise` carries it as a generation-named sidecar (format v2), and
-    // load_store reattaches its views.
+    // `advise` carries it as a generation-named sidecar, and load_store
+    // reattaches its views.
     if persist::has_sidecar(&graphbi_columnstore::OsVfs, dir, "views_meta.txt") {
         graphbi::disk::load_store(dir).map_err(|e| format!("loading: {e}"))
     } else {

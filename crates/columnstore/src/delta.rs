@@ -172,19 +172,6 @@ impl DeltaStore {
         }
     }
 
-    /// Latest visible content of `rid` at `epoch`, when the delta owns a
-    /// version of it (base rows without updates return `None`).
-    pub fn visible_record_at(&self, epoch: u64, rid: RecordId) -> Option<GraphRecord> {
-        let inner = self.inner.lock();
-        inner
-            .versions
-            .get(&rid)?
-            .iter()
-            .rev()
-            .find(|&&(e, _)| e <= epoch)
-            .map(|(_, rec)| rec.clone())
-    }
-
     /// True when no commit at or before `epoch` is buffered.
     pub fn is_empty_at(&self, epoch: u64) -> bool {
         let inner = self.inner.lock();
@@ -192,12 +179,6 @@ impl DeltaStore {
             .versions
             .values()
             .any(|chain| chain.first().is_some_and(|&(e, _)| e <= epoch))
-    }
-
-    /// Buffered version count (all epochs) — the compaction trigger's
-    /// input.
-    pub fn version_count(&self) -> usize {
-        self.inner.lock().versions.values().map(Vec::len).sum()
     }
 
     /// Approximate heap footprint of the buffered versions.
@@ -229,6 +210,18 @@ mod tests {
         b.build()
     }
 
+    /// The content of `rid` that [`DeltaStore::for_each_visible_at`] hands
+    /// the merge path at `epoch`, if the delta owns a version of it.
+    fn visible(d: &DeltaStore, epoch: u64, rid: RecordId) -> Option<GraphRecord> {
+        let mut found = None;
+        d.for_each_visible_at(epoch, |r, rec| {
+            if r == rid {
+                found = Some(rec.clone());
+            }
+        });
+        found
+    }
+
     #[test]
     fn inserts_take_consecutive_ids_and_epochs_gate_visibility() {
         let d = DeltaStore::new(10);
@@ -256,15 +249,9 @@ mod tests {
         let e2 = d.apply(&[DeltaOp::Update(2, rec(&[(7, 9.0)]))]);
         assert_eq!(d.touched_base_at(0).to_vec(), Vec::<u32>::new());
         assert_eq!(d.touched_base_at(e1).to_vec(), vec![2]);
-        assert_eq!(
-            d.visible_record_at(e1, 2).unwrap().measure(EdgeId(7)),
-            Some(1.0)
-        );
-        assert_eq!(
-            d.visible_record_at(e2, 2).unwrap().measure(EdgeId(7)),
-            Some(9.0)
-        );
-        assert!(d.visible_record_at(e1, 3).is_none());
+        assert_eq!(visible(&d, e1, 2).unwrap().measure(EdgeId(7)), Some(1.0));
+        assert_eq!(visible(&d, e2, 2).unwrap().measure(EdgeId(7)), Some(9.0));
+        assert!(visible(&d, e1, 3).is_none());
     }
 
     #[test]
@@ -273,14 +260,8 @@ mod tests {
         let e1 = d.apply(&[DeltaOp::Insert(rec(&[(0, 1.0)]))]);
         let e2 = d.apply(&[DeltaOp::Update(3, rec(&[(0, 2.0)]))]);
         assert!(d.touched_base_at(e2).is_empty());
-        assert_eq!(
-            d.visible_record_at(e2, 3).unwrap().measure(EdgeId(0)),
-            Some(2.0)
-        );
-        assert_eq!(
-            d.visible_record_at(e1, 3).unwrap().measure(EdgeId(0)),
-            Some(1.0)
-        );
+        assert_eq!(visible(&d, e2, 3).unwrap().measure(EdgeId(0)), Some(2.0));
+        assert_eq!(visible(&d, e1, 3).unwrap().measure(EdgeId(0)), Some(1.0));
     }
 
     #[test]

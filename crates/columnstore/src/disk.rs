@@ -9,20 +9,20 @@
 //! the buffer pool. Under a cold cache, [`IoStats::disk_reads`] equals the
 //! cost model's "columns fetched" — the paper's metric, made literal.
 //!
-//! All I/O goes through an injectable [`Vfs`], and every block read off
-//! disk (format v2 raw or format v3 compressed — each data file declares
-//! itself via its leading magic, so mixed-generation stores just work) is
-//! verified against the CRC32 stored in its file's directory before it is
-//! decoded: a flipped bit, short read, or truncated
-//! file surfaces as [`StoreError::Corrupt`], never a panic or a silently
-//! wrong answer. [`DiskRelation::open`] likewise validates the framed
-//! manifest and every file directory of the live generation, so a store
-//! left partial by a crash is reported as typed corruption.
+//! All I/O goes through an injectable [`Vfs`]. File directories are parsed,
+//! and every block read off disk is verified against the CRC32 stored in
+//! its file's directory and decoded, by the same [`crate::persist`] code
+//! the in-memory load uses — format v3 or read-only v2, each data file
+//! declaring itself via its leading magic, so mixed-generation stores just
+//! work. A flipped bit, short read, or truncated file surfaces as
+//! [`StoreError::Corrupt`], never a panic or a silently wrong answer.
+//! [`DiskRelation::open`] likewise validates the framed manifest and every
+//! file directory of the live generation, so a store left partial by a
+//! crash is reported as typed corruption.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::Buf;
 use graphbi_bitmap::Bitmap;
 use graphbi_graph::EdgeId;
 use parking_lot::Mutex;
@@ -31,12 +31,12 @@ use crate::cache::LruCache;
 use crate::column::SparseColumn;
 use crate::iostats::IoStats;
 use crate::persist::{
-    open_read_err, parse_views_directory, part_file_name, read_manifest, read_sidecar_at,
-    views_file_name, PART_DIR_ENTRY, PART_MAGIC_V3,
+    corrupt, open_read_err, parse_views_directory, part_file_name, read_manifest,
+    read_part_directory, read_sidecar_at, views_file_name, ColumnEntry, FormatVersion,
+    ViewsDirectory,
 };
-use crate::vfs::{crc32, os_vfs, Verify, VfsHandle};
+use crate::vfs::{os_vfs, Verify, VfsHandle};
 use crate::StoreError;
-use graphbi_bitmap::intcodec::PackedInts;
 
 /// Cache key: which column of which kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,22 +73,6 @@ impl Payload {
     }
 }
 
-/// Byte location (and expected checksums) of one column's blocks within a
-/// partition file.
-#[derive(Clone, Copy, Debug)]
-struct ColumnLoc {
-    partition: u32,
-    bitmap_off: u64,
-    bitmap_len: u64,
-    values_len: u64,
-    bitmap_crc: u32,
-    values_crc: u32,
-    /// True when the partition file is format v3: the values block starts
-    /// with a codec tag and decodes through
-    /// [`SparseColumn::decode_values_v3`].
-    values_tagged: bool,
-}
-
 /// A shared handle to a fetched bitmap. Clones share the payload, keeping it
 /// alive across cache evictions — batch executors hold one handle per
 /// distinct column instead of re-fetching per query.
@@ -114,33 +98,21 @@ impl std::ops::Deref for ColumnRef {
     }
 }
 
-fn corrupt(path: &Path, what: &'static str) -> StoreError {
-    StoreError::Corrupt {
-        file: path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string()),
-        what,
-    }
-}
-
 /// The master relation, resident on disk.
 pub struct DiskRelation {
     dir: PathBuf,
     vfs: VfsHandle,
     verify: Verify,
     generation: u64,
-    manifest_version: u32,
+    format_version: FormatVersion,
     record_count: u64,
     edge_count: usize,
     partition_width: usize,
-    columns: Vec<ColumnLoc>,
-    /// `(offset, length, crc)` of each graph-view bitmap in the views file.
-    view_locs: Vec<(u64, u64, u32)>,
-    /// `(offset, length, crc)` of each aggregate-view column.
-    agg_locs: Vec<(u64, u64, u32)>,
-    /// True when the views file is format v3 (codec-tagged agg payloads).
-    views_v3: bool,
+    /// Directory entry of every edge column, in edge order; edge `e` lives
+    /// in partition file `e / partition_width`.
+    columns: Vec<ColumnEntry>,
+    /// The views file's directory.
+    views: ViewsDirectory,
     cache: Mutex<LruCache<ColKey, Payload>>,
 }
 
@@ -167,90 +139,14 @@ impl DiskRelation {
         verify: Verify,
     ) -> Result<DiskRelation, StoreError> {
         let manifest = read_manifest(vfs.as_ref(), dir)?;
-        let parts = manifest
-            .edge_count
-            .div_ceil(manifest.partition_width)
-            .max(1);
-
         let mut columns = Vec::with_capacity(manifest.edge_count);
-        for p in 0..parts {
+        for p in 0..manifest.part_count() {
             let path = dir.join(part_file_name(manifest.generation, p));
-            let partition = u32::try_from(p).expect("partition fits u32");
-            // Every file self-describes: a v3 part leads with its magic, a
-            // v2 part with its (manifest-bounded) column count.
-            let head = read_exact_range(&vfs, &path, 0, 8)?;
-            let magic = u32::from_le_bytes(head[..4].try_into().unwrap());
-            if magic == PART_MAGIC_V3 {
-                let n = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
-                if columns.len() + n > manifest.edge_count {
-                    return Err(corrupt(&path, "partition column count out of range"));
-                }
-                let widths = read_exact_range(&vfs, &path, 8, 2)?;
-                let (wb, wv) = (u32::from(widths[0]), u32::from(widths[1]));
-                if wb > 64 || wv > 64 {
-                    return Err(corrupt(&path, "partition directory width out of range"));
-                }
-                let bl_bytes = PackedInts::byte_len(n, wb);
-                let vl_bytes = PackedInts::byte_len(n, wv);
-                let header_len = 10 + bl_bytes + vl_bytes + n * 8;
-                let header = read_exact_range(&vfs, &path, 0, (header_len + 4) as u64)?;
-                let dir_crc =
-                    u32::from_le_bytes(header[header_len..header_len + 4].try_into().unwrap());
-                if crc32(&header[..header_len]) != dir_crc {
-                    return Err(corrupt(&path, "partition directory checksum mismatch"));
-                }
-                let blens = PackedInts::from_bytes(&header[10..10 + bl_bytes], wb, n)
-                    .ok_or_else(|| corrupt(&path, "partition directory truncated"))?;
-                let vlens =
-                    PackedInts::from_bytes(&header[10 + bl_bytes..10 + bl_bytes + vl_bytes], wv, n)
-                        .ok_or_else(|| corrupt(&path, "partition directory truncated"))?;
-                let mut crcs = &header[10 + bl_bytes + vl_bytes..header_len];
-                let mut offset = (header_len + 4) as u64;
-                for i in 0..n {
-                    let bitmap_len = blens.get(i);
-                    let values_len = vlens.get(i);
-                    columns.push(ColumnLoc {
-                        partition,
-                        bitmap_off: offset,
-                        bitmap_len,
-                        values_len,
-                        bitmap_crc: crcs.get_u32_le(),
-                        values_crc: crcs.get_u32_le(),
-                        values_tagged: true,
-                    });
-                    offset += bitmap_len + values_len;
-                }
-                continue;
-            }
-            let n = magic as usize;
-            if columns.len() + n > manifest.edge_count {
-                return Err(corrupt(&path, "partition column count out of range"));
-            }
-            let header_len = 4 + n * PART_DIR_ENTRY;
-            let header = read_exact_range(&vfs, &path, 0, (header_len + 4) as u64)?;
-            let dir_crc =
-                u32::from_le_bytes(header[header_len..header_len + 4].try_into().unwrap());
-            if crc32(&header[..header_len]) != dir_crc {
-                return Err(corrupt(&path, "partition directory checksum mismatch"));
-            }
-            let mut buf = &header[4..header_len];
-            let mut offset = (header_len + 4) as u64;
-            for _ in 0..n {
-                let bitmap_len = buf.get_u64_le();
-                let values_len = buf.get_u64_le();
-                let bitmap_crc = buf.get_u32_le();
-                let values_crc = buf.get_u32_le();
-                columns.push(ColumnLoc {
-                    partition,
-                    bitmap_off: offset,
-                    bitmap_len,
-                    values_len,
-                    bitmap_crc,
-                    values_crc,
-                    values_tagged: false,
-                });
-                offset += bitmap_len + values_len;
-            }
+            columns.extend(read_part_directory(
+                &path,
+                manifest.edge_count - columns.len(),
+                |off, len| read_exact_range(&vfs, &path, off, len),
+            )?);
         }
         if columns.len() != manifest.edge_count {
             return Err(StoreError::Format("column count mismatch"));
@@ -260,21 +156,19 @@ impl DiskRelation {
         let views_bytes = vfs
             .read(&views_path)
             .map_err(|e| open_read_err(&views_path, e))?;
-        let views_dir = parse_views_directory(&views_path, &views_bytes)?;
+        let views = parse_views_directory(&views_path, &views_bytes)?;
 
         Ok(DiskRelation {
             dir: dir.to_owned(),
             vfs,
             verify,
             generation: manifest.generation,
-            manifest_version: manifest.version,
+            format_version: manifest.version,
             record_count: manifest.record_count,
             edge_count: manifest.edge_count,
             partition_width: manifest.partition_width,
             columns,
-            view_locs: views_dir.views,
-            agg_locs: views_dir.aggs,
-            views_v3: views_dir.v3,
+            views,
             cache: Mutex::new(LruCache::new(cache_bytes)),
         })
     }
@@ -294,22 +188,21 @@ impl DiskRelation {
         self.generation
     }
 
-    /// The on-disk format version the live generation's manifest declares
-    /// (2 = raw payloads, 3 = compressed). Individual data files still
-    /// self-describe; this is what the *writer* of the live generation
-    /// emitted.
-    pub fn format_version(&self) -> u32 {
-        self.manifest_version
+    /// The on-disk format the live generation's manifest declares. Data
+    /// files still self-describe; this is what the *writer* of the live
+    /// generation emitted.
+    pub fn format_version(&self) -> FormatVersion {
+        self.format_version
     }
 
     /// Number of materialized graph views on disk.
     pub fn view_count(&self) -> usize {
-        self.view_locs.len()
+        self.views.views.len()
     }
 
     /// Number of materialized aggregate views on disk.
     pub fn agg_view_count(&self) -> usize {
-        self.agg_locs.len()
+        self.views.aggs.len()
     }
 
     /// Sub-relation of `edge`.
@@ -317,26 +210,12 @@ impl DiskRelation {
         edge.index() / self.partition_width
     }
 
-    /// Selectivity hint for the planner: the encoded byte length of
-    /// `b_edge`, read from the in-memory column directory. Compressed
-    /// bitmap encodings grow with cardinality, so ranking candidates by
-    /// encoded length orders them (approximately) sparsest-first without
-    /// touching the disk or any cost counter.
-    pub fn edge_bitmap_hint(&self, edge: EdgeId) -> u64 {
-        self.columns[edge.index()].bitmap_len
-    }
-
     /// Selectivity hint for a graph-view bitmap: its encoded byte length
-    /// from the view directory. Like [`DiskRelation::edge_bitmap_hint`],
-    /// metadata-only — no I/O, no stats.
+    /// from the view directory. Compressed bitmap encodings grow with
+    /// cardinality, so ranking by encoded length orders views
+    /// (approximately) sparsest-first — metadata-only, no I/O, no stats.
     pub fn view_bitmap_hint(&self, view: u32) -> u64 {
-        self.view_locs[view as usize].1
-    }
-
-    /// The horizontal record shards for an `shards`-way parallel scan (see
-    /// [`crate::shard_ranges`]).
-    pub fn shard_ranges(&self, shards: usize) -> Vec<std::ops::Range<u32>> {
-        crate::relation::shard_ranges(self.record_count, shards)
+        self.views.views[view as usize].len
     }
 
     /// `(cache hits, cache misses)` so far.
@@ -360,21 +239,6 @@ impl DiskRelation {
         read_sidecar_at(self.vfs.as_ref(), &self.dir, self.generation, name)
     }
 
-    /// Checks a fetched block against its directory checksum (skipped
-    /// under [`Verify::TrustDisk`]).
-    fn check(
-        &self,
-        path: &Path,
-        bytes: &[u8],
-        expected: u32,
-        what: &'static str,
-    ) -> Result<(), StoreError> {
-        if self.verify == Verify::Checksums && crc32(bytes) != expected {
-            return Err(corrupt(path, what));
-        }
-        Ok(())
-    }
-
     /// Cache fill: `load` returns the decoded payload *and the on-disk
     /// byte count it read*, and the cache is charged the latter. Budgeting
     /// the buffer pool in compressed (actual) bytes keeps eviction
@@ -394,22 +258,37 @@ impl DiskRelation {
         Ok(self.cache.lock().insert(key, payload, size))
     }
 
+    /// One counted physical read of `len` bytes at `off` in `path`.
+    fn read(
+        &self,
+        path: &Path,
+        off: u64,
+        len: u64,
+        stats: &mut IoStats,
+    ) -> Result<Vec<u8>, StoreError> {
+        let bytes = read_exact_range(&self.vfs, path, off, len)?;
+        stats.disk_reads += 1;
+        stats.disk_bytes += len;
+        Ok(bytes)
+    }
+
+    /// The partition file holding `edge`, and its directory entry.
+    fn column(&self, edge: EdgeId) -> (PathBuf, ColumnEntry) {
+        let path = self
+            .dir
+            .join(part_file_name(self.generation, self.partition_of(edge)));
+        (path, self.columns[edge.index()])
+    }
+
     /// Fetches the bitmap column `b_edge` (bitmap block only — the measures
     /// stay on disk).
     pub fn edge_bitmap(&self, edge: EdgeId, stats: &mut IoStats) -> Result<BitmapRef, StoreError> {
         stats.bitmap_columns += 1;
-        let idx = edge.index();
         let payload = self.fetch(ColKey::EdgeBitmap(edge.0), stats, move |this, stats| {
-            let loc = this.columns[idx];
-            let path = this
-                .dir
-                .join(part_file_name(this.generation, loc.partition as usize));
-            let bytes = read_exact_range(&this.vfs, &path, loc.bitmap_off, loc.bitmap_len)?;
-            stats.disk_reads += 1;
-            stats.disk_bytes += loc.bitmap_len;
-            this.check(&path, &bytes, loc.bitmap_crc, "bitmap checksum mismatch")?;
-            let mut buf = bytes.as_slice();
-            Ok((Payload::Bitmap(Bitmap::decode(&mut buf)?), loc.bitmap_len))
+            let (path, entry) = this.column(edge);
+            let bytes = this.read(&path, entry.offset, entry.bitmap_len, stats)?;
+            let bitmap = entry.decode_bitmap(&path, &bytes, this.verify)?;
+            Ok((Payload::Bitmap(bitmap), entry.bitmap_len))
         })?;
         Ok(BitmapRef(payload))
     }
@@ -422,37 +301,12 @@ impl DiskRelation {
         stats: &mut IoStats,
     ) -> Result<ColumnRef, StoreError> {
         stats.measure_columns += 1;
-        let idx = edge.index();
         let payload = self.fetch(ColKey::EdgeColumn(edge.0), stats, move |this, stats| {
-            let loc = this.columns[idx];
-            let path = this
-                .dir
-                .join(part_file_name(this.generation, loc.partition as usize));
-            let len = loc.bitmap_len + loc.values_len;
-            let bytes = read_exact_range(&this.vfs, &path, loc.bitmap_off, len)?;
-            stats.disk_reads += 1;
-            stats.disk_bytes += len;
-            let split = usize::try_from(loc.bitmap_len).expect("len fits usize");
-            this.check(
-                &path,
-                &bytes[..split],
-                loc.bitmap_crc,
-                "bitmap checksum mismatch",
-            )?;
-            this.check(
-                &path,
-                &bytes[split..],
-                loc.values_crc,
-                "values checksum mismatch",
-            )?;
-            let mut buf = bytes.as_slice();
-            let presence = Bitmap::decode(&mut buf)?;
-            let col = if loc.values_tagged {
-                SparseColumn::decode_values_v3(presence, &mut buf)?
-            } else {
-                SparseColumn::decode_values(presence, &mut buf)?
-            };
-            Ok((Payload::Column(col), len))
+            let (path, entry) = this.column(edge);
+            let len = entry.column_len();
+            let bytes = this.read(&path, entry.offset, len, stats)?;
+            let column = entry.decode_column(&path, &bytes, this.verify)?;
+            Ok((Payload::Column(column), len))
         })?;
         Ok(ColumnRef(payload))
     }
@@ -460,15 +314,13 @@ impl DiskRelation {
     /// Fetches a graph-view bitmap.
     pub fn view_bitmap(&self, view: u32, stats: &mut IoStats) -> Result<BitmapRef, StoreError> {
         stats.view_bitmap_columns += 1;
-        let (off, len, crc) = self.view_locs[view as usize];
+        let i = view as usize;
         let payload = self.fetch(ColKey::ViewBitmap(view), stats, move |this, stats| {
             let path = this.dir.join(views_file_name(this.generation));
-            let bytes = read_exact_range(&this.vfs, &path, off, len)?;
-            stats.disk_reads += 1;
-            stats.disk_bytes += len;
-            this.check(&path, &bytes, crc, "view block checksum mismatch")?;
-            let mut buf = bytes.as_slice();
-            Ok((Payload::Bitmap(Bitmap::decode(&mut buf)?), len))
+            let entry = this.views.views[i];
+            let bytes = this.read(&path, entry.offset, entry.len, stats)?;
+            let bitmap = this.views.decode_view(&path, i, &bytes, this.verify)?;
+            Ok((Payload::Bitmap(bitmap), entry.len))
         })?;
         Ok(BitmapRef(payload))
     }
@@ -476,31 +328,15 @@ impl DiskRelation {
     /// Fetches an aggregate-view column.
     pub fn agg_view(&self, view: u32, stats: &mut IoStats) -> Result<ColumnRef, StoreError> {
         stats.agg_view_columns += 1;
-        let (off, len, crc) = self.agg_locs[view as usize];
+        let i = view as usize;
         let payload = self.fetch(ColKey::AggColumn(view), stats, move |this, stats| {
             let path = this.dir.join(views_file_name(this.generation));
-            let bytes = read_exact_range(&this.vfs, &path, off, len)?;
-            stats.disk_reads += 1;
-            stats.disk_bytes += len;
-            this.check(&path, &bytes, crc, "view block checksum mismatch")?;
-            let mut buf = bytes.as_slice();
-            let col = if this.views_v3 {
-                SparseColumn::decode_v3(&mut buf)?
-            } else {
-                SparseColumn::decode(&mut buf)?
-            };
-            Ok((Payload::Column(col), len))
+            let entry = this.views.aggs[i];
+            let bytes = this.read(&path, entry.offset, entry.len, stats)?;
+            let column = this.views.decode_agg(&path, i, &bytes, this.verify)?;
+            Ok((Payload::Column(column), entry.len))
         })?;
         Ok(ColumnRef(payload))
-    }
-
-    /// Partition-touch accounting (as on the in-memory relation).
-    pub fn note_partitions(&self, edges: &[EdgeId], stats: &mut IoStats) {
-        let mut seen = std::collections::BTreeSet::new();
-        for &e in edges {
-            seen.insert(self.partition_of(e));
-        }
-        stats.partitions_touched += seen.len() as u64;
     }
 }
 
@@ -648,10 +484,9 @@ mod tests {
         // Locate the values block of `edge` via a clean open, then flip one
         // byte in the middle of it on the real filesystem.
         let probe = DiskRelation::open(&dir, 1 << 20).unwrap();
-        let loc = probe.columns[edge.index()];
-        let path = dir.join(part_file_name(probe.generation(), loc.partition as usize));
+        let (path, entry) = probe.column(edge);
         let mut raw = std::fs::read(&path).unwrap();
-        let target = usize::try_from(loc.bitmap_off + loc.bitmap_len).unwrap() + 1;
+        let target = usize::try_from(entry.offset + entry.bitmap_len).unwrap() + 1;
         raw[target] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
 

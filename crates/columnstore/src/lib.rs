@@ -21,14 +21,16 @@
 //!   reasoning assumes "cost ∝ number of columns fetched", and every fetch
 //!   path here increments the corresponding counter so the benches can report
 //!   both wall-clock and model cost.
-//! * [`persist`] — the crash-safe binary on-disk layout (formats v2 and
-//!   v3): generation-named immutable data files, CRC32 on every payload,
-//!   and an atomically renamed framed manifest as the commit point. Writers
-//!   emit the codec-compressed v3 by default ([`codec`]; raw payloads stay
-//!   a per-block candidate, so no file ever grows); readers sniff per-file
-//!   magic, so v2 stores and mixed v2/v3 generations load unchanged. Used
-//!   to measure the disk footprint (Table 2, Figure 4) and to survive
-//!   restarts *and crashes mid-save*.
+//! * [`persist`] — the crash-safe binary on-disk layout: generation-named
+//!   immutable data files, CRC32 on every payload, and an atomically
+//!   renamed framed manifest as the commit point. Saves write format v3
+//!   only, codec-compressed ([`codec`]; raw payloads stay a per-block
+//!   candidate, so no file ever grows). Format v2 is read-only: one parser
+//!   sniffs each file's magic and decodes both layouts for the in-memory
+//!   load and the disk-resident [`DiskRelation`] alike, so v2 stores and
+//!   mixed v2/v3 generations load unchanged. Used to measure the disk
+//!   footprint (Table 2, Figure 4) and to survive restarts *and crashes
+//!   mid-save*.
 //! * [`vfs`] — the injectable filesystem underneath [`persist`] and
 //!   [`disk`]: [`OsVfs`] in production, [`FaultVfs`] (deterministic torn
 //!   writes, short reads, bit flips, ENOSPC, lost fsyncs) under the

@@ -1,4 +1,5 @@
-//! Crash-safe on-disk layout of a master relation (formats v2 and v3).
+//! Crash-safe on-disk layout of a master relation: format v3 is written,
+//! format v2 is read.
 //!
 //! One directory per relation:
 //!
@@ -35,6 +36,13 @@
 //!              edge_count u32, partition_width u32
 //! sidecar   := SIDECAR_MAGIC u32, len u32, crc u32, payload
 //!
+//! v3 part   := PART_MAGIC_V3 u32, ncols u32, wb u8, wv u8,
+//!              ncols × wb-bit packed bitmap lengths,
+//!              ncols × wv-bit packed values lengths,
+//!              (bitmap_crc u32, values_crc u32) × ncols,
+//!              dir_crc u32, then per column: bitmap bytes, value bytes
+//! v3 views  := VIEWS_MAGIC_V3 u32, then the v2 views layout
+//!
 //! v2 part   := ncols u32,
 //!              (bitmap_len u64, values_len u64,
 //!               bitmap_crc u32, values_crc u32) × ncols,
@@ -42,26 +50,18 @@
 //! v2 views  := nviews u32, (len u64, crc u32) × nviews,
 //!              naggs u32, (len u64, crc u32) × naggs,
 //!              dir_crc u32, then the view payloads, then the agg payloads
-//!
-//! v3 part   := PART_MAGIC_V3 u32, ncols u32, wb u8, wv u8,
-//!              ncols × wb-bit packed bitmap lengths,
-//!              ncols × wv-bit packed values lengths,
-//!              (bitmap_crc u32, values_crc u32) × ncols,
-//!              dir_crc u32, then per column: bitmap bytes, value bytes
-//! v3 views  := VIEWS_MAGIC_V3 u32, then the v2 views layout
 //! ```
 //!
-//! Format v3 (the default writer output since this version) keeps the v2
-//! directory+CRC architecture but compresses the payloads: bitmaps use
-//! the v3 container codecs (Elias-Fano, gamma runs, frame-of-reference),
-//! value blocks carry a codec tag (raw or dictionary + packed indices),
-//! and the part directory's block lengths are frame-of-reference
-//! bit-packed. Every data file is self-describing via its leading magic,
-//! so a reader handles mixed v2/v3 generations (e.g. a v2 base pinned by
-//! a snapshot while compaction publishes v3) without any manifest-level
-//! flag, and v2 stores load unchanged — backward compatibility is
-//! reader-side, the writer always emits the manifest version matching
-//! what it wrote.
+//! The writer emits v3 only: bitmaps use the v3 container codecs
+//! (Elias-Fano, gamma runs, frame-of-reference), value blocks carry a codec
+//! tag (raw or dictionary + packed indices), and the part directory's block
+//! lengths are frame-of-reference bit-packed. v2 (raw payloads) is
+//! read-only. Every data file is self-describing via its leading magic, and
+//! this module is the one place that parses it: `read_part_directory`
+//! turns either part layout into [`ColumnEntry`]s, whose decoders serve the
+//! in-memory [`load`] and the disk-resident [`crate::DiskRelation`] alike —
+//! so v2 stores, and mixed generations (a v2 base pinned by a snapshot
+//! while compaction publishes v3), load unchanged.
 
 use std::path::Path;
 
@@ -77,42 +77,33 @@ use crate::StoreError;
 pub(crate) const MANIFEST_MAGIC: u32 = 0x4742_5232; // "GBR2"
 pub(crate) const SIDECAR_MAGIC: u32 = 0x4742_5344; // "GBSD"
 /// Leading magic of a v3 partition file. A v2 part file starts with its
-/// column count, which open() bounds against the manifest's edge count —
-/// the collision would need a relation of 1.19 billion edge columns.
-pub const PART_MAGIC_V3: u32 = 0x4742_5033; // "GBP3"
+/// column count, which the directory parser bounds against the manifest's
+/// edge count — the collision would need a relation of 1.19 billion edge
+/// columns.
+const PART_MAGIC_V3: u32 = 0x4742_5033; // "GBP3"
 /// Leading magic of a v3 views file (v2 starts with the view count).
-pub const VIEWS_MAGIC_V3: u32 = 0x4742_5633; // "GBV3"
-pub(crate) const FORMAT_VERSION_V2: u32 = 2;
-pub(crate) const FORMAT_VERSION_V3: u32 = 3;
+const VIEWS_MAGIC_V3: u32 = 0x4742_5633; // "GBV3"
 
-/// Which on-disk format a save emits. Readers accept both regardless.
+/// The on-disk format of a stored generation, as its manifest records it.
+/// Only [`FormatVersion::V3`] is written; readers accept both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FormatVersion {
-    /// Raw container and value payloads (the legacy format).
+    /// Raw container and value payloads — the legacy format, read-only.
     V2,
     /// Compressed payloads: v3 bitmap containers, codec-tagged value
-    /// blocks, bit-packed part directories. The default.
+    /// blocks, bit-packed part directories. What every save writes.
     #[default]
     V3,
-}
-
-impl FormatVersion {
-    fn manifest_version(self) -> u32 {
-        match self {
-            FormatVersion::V2 => FORMAT_VERSION_V2,
-            FormatVersion::V3 => FORMAT_VERSION_V3,
-        }
-    }
 }
 
 /// The manifest file name — the store's atomic commit pointer.
 pub const MANIFEST_FILE: &str = "manifest.gbi";
 const MANIFEST_TMP: &str = "manifest.gbi.tmp";
 
-/// Bytes of one partition-directory entry (two lengths, two CRCs).
-pub(crate) const PART_DIR_ENTRY: usize = 24;
+/// Bytes of one v2 partition-directory entry (two lengths, two CRCs).
+const PART_DIR_ENTRY: usize = 24;
 /// Bytes of one views-directory entry (length + CRC).
-pub(crate) const VIEW_DIR_ENTRY: usize = 12;
+const VIEW_DIR_ENTRY: usize = 12;
 
 // ---------------------------------------------------------------------------
 // Generation-scoped file names.
@@ -145,7 +136,7 @@ fn file_name(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-fn corrupt(path: &Path, what: &'static str) -> StoreError {
+pub(crate) fn corrupt(path: &Path, what: &'static str) -> StoreError {
     StoreError::Corrupt {
         file: file_name(path),
         what,
@@ -169,18 +160,25 @@ pub(crate) fn open_read_err(path: &Path, e: std::io::Error) -> StoreError {
 /// Decoded manifest: which generation is live, and the relation's shape.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Manifest {
-    pub version: u32,
+    pub version: FormatVersion,
     pub generation: u64,
     pub record_count: u64,
     pub edge_count: usize,
     pub partition_width: usize,
 }
 
+impl Manifest {
+    /// Partition files of the generation (at least one, even when empty).
+    pub fn part_count(&self) -> usize {
+        self.edge_count.div_ceil(self.partition_width).max(1)
+    }
+}
+
 const MANIFEST_PAYLOAD_LEN: usize = 28;
 
-fn encode_manifest(generation: u64, relation: &MasterRelation, format: FormatVersion) -> Bytes {
+fn encode_manifest(generation: u64, relation: &MasterRelation) -> Bytes {
     let mut payload = BytesMut::with_capacity(MANIFEST_PAYLOAD_LEN);
-    payload.put_u32_le(format.manifest_version());
+    payload.put_u32_le(3); // FormatVersion::V3
     payload.put_u64_le(generation);
     payload.put_u64_le(relation.record_count());
     payload.put_u32_le(u32::try_from(relation.edge_count()).expect("edge count fits u32"));
@@ -217,10 +215,11 @@ pub(crate) fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Manifest, Store
         return Err(corrupt(&path, "manifest checksum mismatch"));
     }
     let mut p = payload;
-    let version = p.get_u32_le();
-    if version != FORMAT_VERSION_V2 && version != FORMAT_VERSION_V3 {
-        return Err(corrupt(&path, "unsupported format version"));
-    }
+    let version = match p.get_u32_le() {
+        2 => FormatVersion::V2,
+        3 => FormatVersion::V3,
+        _ => return Err(corrupt(&path, "unsupported format version")),
+    };
     let generation = p.get_u64_le();
     let record_count = p.get_u64_le();
     let edge_count = p.get_u32_le() as usize;
@@ -243,7 +242,7 @@ pub(crate) fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Manifest, Store
 /// Writes `relation` under `dir` through the OS filesystem. Returns the
 /// total bytes written — the relation's disk footprint.
 pub fn save(relation: &MasterRelation, dir: &Path) -> Result<u64, StoreError> {
-    save_with(&OsVfs, relation, &[], dir)
+    save_with(&OsVfs, relation, &[], dir, &[])
 }
 
 /// Writes `relation` (plus caller-provided `sidecars`, each a named blob
@@ -253,38 +252,17 @@ pub fn save(relation: &MasterRelation, dir: &Path) -> Result<u64, StoreError> {
 /// and fsynced first, then the manifest is committed via temp file +
 /// fsync + atomic rename. A crash at any operation leaves the store
 /// openable as either the complete old state or the complete new state.
+///
+/// The trailing garbage collection spares the generations listed in
+/// `keep`: MVCC compaction passes the generations still pinned by live
+/// snapshots, reclaimed by a later [`collect_garbage_keeping`] once
+/// unpinned.
 pub fn save_with(
     vfs: &dyn Vfs,
     relation: &MasterRelation,
     sidecars: &[(&str, &[u8])],
     dir: &Path,
-) -> Result<u64, StoreError> {
-    save_with_keep(vfs, relation, sidecars, dir, &[])
-}
-
-/// [`save_with`], but the trailing garbage collection additionally spares
-/// the generations listed in `keep`. MVCC compaction passes the
-/// generations still pinned by live snapshots here; they are reclaimed by
-/// a later [`collect_garbage_keeping`] once unpinned.
-pub fn save_with_keep(
-    vfs: &dyn Vfs,
-    relation: &MasterRelation,
-    sidecars: &[(&str, &[u8])],
-    dir: &Path,
     keep: &[u64],
-) -> Result<u64, StoreError> {
-    save_with_keep_format(vfs, relation, sidecars, dir, keep, FormatVersion::default())
-}
-
-/// [`save_with_keep`] with an explicit on-disk [`FormatVersion`] — the
-/// back-compat test matrix writes legacy v2 stores through this.
-pub fn save_with_keep_format(
-    vfs: &dyn Vfs,
-    relation: &MasterRelation,
-    sidecars: &[(&str, &[u8])],
-    dir: &Path,
-    keep: &[u64],
-    format: FormatVersion,
 ) -> Result<u64, StoreError> {
     vfs.create_dir_all(dir)?;
     let generation = next_generation(vfs, dir);
@@ -296,7 +274,7 @@ pub fn save_with_keep_format(
         total += write_durable(
             vfs,
             &dir.join(part_file_name(generation, p)),
-            &encode_part(chunk, format),
+            &encode_part(chunk),
         )?;
         nparts += 1;
     }
@@ -305,7 +283,7 @@ pub fn save_with_keep_format(
         total += write_durable(
             vfs,
             &dir.join(part_file_name(generation, 0)),
-            &encode_part(&[], format),
+            &encode_part(&[]),
         )?;
     }
 
@@ -313,7 +291,7 @@ pub fn save_with_keep_format(
     total += write_durable(
         vfs,
         &dir.join(views_file_name(generation)),
-        &encode_views(view_bitmaps, agg_views, format),
+        &encode_views(view_bitmaps, agg_views),
     )?;
 
     for (name, payload) in sidecars {
@@ -327,7 +305,7 @@ pub fn save_with_keep_format(
     // Atomic publish: every data byte above is durable before the manifest
     // can name it.
     let tmp = dir.join(MANIFEST_TMP);
-    total += write_durable(vfs, &tmp, &encode_manifest(generation, relation, format))?;
+    total += write_durable(vfs, &tmp, &encode_manifest(generation, relation))?;
     vfs.rename(&tmp, &dir.join(MANIFEST_FILE))?;
     vfs.fsync_dir(dir)?;
 
@@ -400,55 +378,16 @@ pub fn collect_garbage_keeping(vfs: &dyn Vfs, dir: &Path, keep: &[u64]) -> Resul
     collect_garbage(vfs, dir, live, keep)
 }
 
-fn encode_part(chunk: &[SparseColumn], format: FormatVersion) -> Bytes {
-    match format {
-        FormatVersion::V2 => encode_part_v2(chunk),
-        FormatVersion::V3 => encode_part_v3(chunk),
-    }
-}
-
-fn encode_part_v2(chunk: &[SparseColumn]) -> Bytes {
-    let blocks: Vec<(Bytes, Bytes)> = chunk
-        .iter()
-        .map(|c| (c.presence().encode(), c.encode_values()))
-        .collect();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(u32::try_from(chunk.len()).expect("chunk fits u32"));
-    for (b, v) in &blocks {
-        buf.put_u64_le(b.len() as u64);
-        buf.put_u64_le(v.len() as u64);
-        buf.put_u32_le(crc32(b));
-        buf.put_u32_le(crc32(v));
-    }
-    let dir_crc = crc32(&buf);
-    buf.put_u32_le(dir_crc);
-    for (b, v) in &blocks {
-        buf.put_slice(b);
-        buf.put_slice(v);
-    }
-    buf.freeze()
-}
-
-fn encode_part_v3(chunk: &[SparseColumn]) -> Bytes {
+fn encode_part(chunk: &[SparseColumn]) -> Bytes {
     let blocks: Vec<(Bytes, Bytes)> = chunk
         .iter()
         .map(|c| (c.presence().encode_v3(), c.encode_values_v3()))
         .collect();
     let n = blocks.len();
-    let max_b = blocks
-        .iter()
-        .map(|(b, _)| b.len() as u64)
-        .max()
-        .unwrap_or(0);
-    let max_v = blocks
-        .iter()
-        .map(|(_, v)| v.len() as u64)
-        .max()
-        .unwrap_or(0);
-    let wb = PackedInts::width_for(max_b);
-    let wv = PackedInts::width_for(max_v);
     let blens: Vec<u64> = blocks.iter().map(|(b, _)| b.len() as u64).collect();
     let vlens: Vec<u64> = blocks.iter().map(|(_, v)| v.len() as u64).collect();
+    let wb = PackedInts::width_for(blens.iter().copied().max().unwrap_or(0));
+    let wv = PackedInts::width_for(vlens.iter().copied().max().unwrap_or(0));
     let mut buf = BytesMut::new();
     buf.put_u32_le(PART_MAGIC_V3);
     buf.put_u32_le(u32::try_from(n).expect("chunk fits u32"));
@@ -469,25 +408,11 @@ fn encode_part_v3(chunk: &[SparseColumn]) -> Bytes {
     buf.freeze()
 }
 
-fn encode_views(
-    view_bitmaps: &[Bitmap],
-    agg_views: &[SparseColumn],
-    format: FormatVersion,
-) -> Bytes {
-    let (vb, ab): (Vec<Bytes>, Vec<Bytes>) = match format {
-        FormatVersion::V2 => (
-            view_bitmaps.iter().map(Bitmap::encode).collect(),
-            agg_views.iter().map(SparseColumn::encode).collect(),
-        ),
-        FormatVersion::V3 => (
-            view_bitmaps.iter().map(Bitmap::encode_v3).collect(),
-            agg_views.iter().map(SparseColumn::encode_v3).collect(),
-        ),
-    };
+fn encode_views(view_bitmaps: &[Bitmap], agg_views: &[SparseColumn]) -> Bytes {
+    let vb: Vec<Bytes> = view_bitmaps.iter().map(Bitmap::encode_v3).collect();
+    let ab: Vec<Bytes> = agg_views.iter().map(SparseColumn::encode_v3).collect();
     let mut buf = BytesMut::new();
-    if format == FormatVersion::V3 {
-        buf.put_u32_le(VIEWS_MAGIC_V3);
-    }
+    buf.put_u32_le(VIEWS_MAGIC_V3);
     buf.put_u32_le(u32::try_from(vb.len()).expect("view count fits u32"));
     for e in &vb {
         buf.put_u64_le(e.len() as u64);
@@ -519,208 +444,283 @@ fn frame_sidecar(payload: &[u8]) -> Bytes {
 }
 
 // ---------------------------------------------------------------------------
-// Load.
+// The one reader: directories and blocks of both formats.
 
-/// Loads a relation previously written by [`save`], verifying checksums.
-pub fn load(dir: &Path) -> Result<MasterRelation, StoreError> {
-    load_with(&OsVfs, dir, Verify::Checksums)
-}
-
-/// Loads a relation through `vfs`. `verify` chooses whether payload CRCs
-/// are checked ([`Verify::TrustDisk`] is the fuzzer's teeth-test hook;
-/// structural bounds and the manifest CRC are checked regardless).
-pub fn load_with(vfs: &dyn Vfs, dir: &Path, verify: Verify) -> Result<MasterRelation, StoreError> {
-    let manifest = read_manifest(vfs, dir)?;
-    let parts = manifest
-        .edge_count
-        .div_ceil(manifest.partition_width)
-        .max(1);
-
-    let mut columns = Vec::with_capacity(manifest.edge_count);
-    for p in 0..parts {
-        let path = dir.join(part_file_name(manifest.generation, p));
-        let bytes = vfs.read(&path).map_err(|e| open_read_err(&path, e))?;
-        decode_part(&path, &bytes, verify, manifest.edge_count, &mut columns)?;
-    }
-    if columns.len() != manifest.edge_count {
-        return Err(StoreError::Format("column count mismatch"));
-    }
-
-    let mut relation =
-        MasterRelation::from_columns(columns, manifest.partition_width, manifest.record_count);
-
-    let path = dir.join(views_file_name(manifest.generation));
-    let bytes = vfs.read(&path).map_err(|e| open_read_err(&path, e))?;
-    let (bitmaps, aggs) = decode_views(&path, &bytes, verify)?;
-    relation.restore_views(bitmaps, aggs);
-    Ok(relation)
-}
-
-fn decode_part(
+/// Fails with `what` when `bytes` do not match their directory checksum
+/// (skipped under [`Verify::TrustDisk`]).
+fn check_crc(
     path: &Path,
     bytes: &[u8],
+    expected: u32,
     verify: Verify,
-    edge_count: usize,
-    columns: &mut Vec<SparseColumn>,
+    what: &'static str,
 ) -> Result<(), StoreError> {
-    let mut buf = bytes;
-    if buf.remaining() < 4 {
-        return Err(corrupt(path, "partition file truncated"));
-    }
-    if u32::from_le_bytes(bytes[..4].try_into().unwrap()) == PART_MAGIC_V3 {
-        return decode_part_v3(path, bytes, verify, edge_count, columns);
-    }
-    let n = buf.get_u32_le() as usize;
-    if columns.len() + n > edge_count {
-        return Err(corrupt(path, "partition column count out of range"));
-    }
-    if buf.remaining() < n * PART_DIR_ENTRY + 4 {
-        return Err(corrupt(path, "partition directory truncated"));
-    }
-    let header_len = 4 + n * PART_DIR_ENTRY;
-    let dir_crc = u32::from_le_bytes(bytes[header_len..header_len + 4].try_into().unwrap());
-    if crc32(&bytes[..header_len]) != dir_crc {
-        return Err(corrupt(path, "partition directory checksum mismatch"));
-    }
-    let entries: Vec<(u64, u64, u32, u32)> = (0..n)
-        .map(|_| {
-            (
-                buf.get_u64_le(),
-                buf.get_u64_le(),
-                buf.get_u32_le(),
-                buf.get_u32_le(),
-            )
-        })
-        .collect();
-    buf.advance(4); // dir_crc
-    for (blen, vlen, bcrc, vcrc) in entries {
-        let blen = usize::try_from(blen).map_err(|_| corrupt(path, "bitmap block too large"))?;
-        let vlen = usize::try_from(vlen).map_err(|_| corrupt(path, "values block too large"))?;
-        if buf.remaining() < blen + vlen {
-            return Err(corrupt(path, "column bytes truncated"));
-        }
-        let (mut bitmap_bytes, rest) = buf.split_at(blen);
-        let (mut value_bytes, rest) = rest.split_at(vlen);
-        buf = rest;
-        if verify == Verify::Checksums && crc32(bitmap_bytes) != bcrc {
-            return Err(corrupt(path, "bitmap checksum mismatch"));
-        }
-        let presence = Bitmap::decode(&mut bitmap_bytes)?;
-        if verify == Verify::Checksums && crc32(value_bytes) != vcrc {
-            return Err(corrupt(path, "values checksum mismatch"));
-        }
-        columns.push(SparseColumn::decode_values(presence, &mut value_bytes)?);
+    if verify == Verify::Checksums && crc32(bytes) != expected {
+        return Err(corrupt(path, what));
     }
     Ok(())
 }
 
-fn decode_part_v3(
-    path: &Path,
-    bytes: &[u8],
-    verify: Verify,
-    edge_count: usize,
-    columns: &mut Vec<SparseColumn>,
-) -> Result<(), StoreError> {
-    if bytes.len() < 10 {
-        return Err(corrupt(path, "partition file truncated"));
-    }
-    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    if columns.len() + n > edge_count {
-        return Err(corrupt(path, "partition column count out of range"));
-    }
-    let wb = u32::from(bytes[8]);
-    let wv = u32::from(bytes[9]);
-    if wb > 64 || wv > 64 {
-        return Err(corrupt(path, "partition directory width out of range"));
-    }
-    let bl_bytes = PackedInts::byte_len(n, wb);
-    let vl_bytes = PackedInts::byte_len(n, wv);
-    let header_len = 10 + bl_bytes + vl_bytes + n * 8;
-    if bytes.len() < header_len + 4 {
-        return Err(corrupt(path, "partition directory truncated"));
-    }
-    let dir_crc = u32::from_le_bytes(bytes[header_len..header_len + 4].try_into().unwrap());
-    if crc32(&bytes[..header_len]) != dir_crc {
-        return Err(corrupt(path, "partition directory checksum mismatch"));
-    }
-    let blens = PackedInts::from_bytes(&bytes[10..10 + bl_bytes], wb, n)
-        .ok_or_else(|| corrupt(path, "partition directory truncated"))?;
-    let vlens = PackedInts::from_bytes(&bytes[10 + bl_bytes..10 + bl_bytes + vl_bytes], wv, n)
-        .ok_or_else(|| corrupt(path, "partition directory truncated"))?;
-    let mut crcs = &bytes[10 + bl_bytes + vl_bytes..header_len];
-    let mut buf = &bytes[header_len + 4..];
-    for i in 0..n {
-        let bcrc = crcs.get_u32_le();
-        let vcrc = crcs.get_u32_le();
-        let blen =
-            usize::try_from(blens.get(i)).map_err(|_| corrupt(path, "bitmap block too large"))?;
-        let vlen =
-            usize::try_from(vlens.get(i)).map_err(|_| corrupt(path, "values block too large"))?;
-        if buf.remaining() < blen + vlen {
-            return Err(corrupt(path, "column bytes truncated"));
-        }
-        let (mut bitmap_bytes, rest) = buf.split_at(blen);
-        let (mut value_bytes, rest) = rest.split_at(vlen);
-        buf = rest;
-        if verify == Verify::Checksums && crc32(bitmap_bytes) != bcrc {
-            return Err(corrupt(path, "bitmap checksum mismatch"));
-        }
-        let presence = Bitmap::decode(&mut bitmap_bytes)?;
-        if verify == Verify::Checksums && crc32(value_bytes) != vcrc {
-            return Err(corrupt(path, "values checksum mismatch"));
-        }
-        columns.push(SparseColumn::decode_values_v3(presence, &mut value_bytes)?);
-    }
-    Ok(())
+/// `bytes[off..off + len]`, or `None` when the range leaves the buffer.
+fn slice(bytes: &[u8], off: u64, len: u64) -> Option<&[u8]> {
+    let off = usize::try_from(off).ok()?;
+    let end = off.checked_add(usize::try_from(len).ok()?)?;
+    bytes.get(off..end)
 }
 
-type ViewBlocks = (Vec<Bitmap>, Vec<SparseColumn>);
+/// One column's entry in a partition-file directory: where its blocks sit,
+/// their checksums, and how its value block is coded.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnEntry {
+    /// File offset of the column's bitmap block; the value block follows
+    /// it directly.
+    pub offset: u64,
+    /// Length of the encoded presence bitmap.
+    pub bitmap_len: u64,
+    /// Length of the value block.
+    pub values_len: u64,
+    /// CRC32 of the bitmap block.
+    pub bitmap_crc: u32,
+    /// CRC32 of the value block.
+    pub values_crc: u32,
+    /// True in a v3 part file, whose value blocks lead with a codec tag; a
+    /// v2 value block is raw f64s.
+    pub values_tagged: bool,
+}
 
-fn decode_views(path: &Path, bytes: &[u8], verify: Verify) -> Result<ViewBlocks, StoreError> {
-    let dir = parse_views_directory(path, bytes)?;
-    let mut bitmaps = Vec::with_capacity(dir.views.len());
-    for &(off, len, crc) in &dir.views {
-        let mut b = block(path, bytes, off, len, crc, verify)?;
-        bitmaps.push(Bitmap::decode(&mut b)?);
+impl ColumnEntry {
+    /// Bytes of the whole column: bitmap block then value block.
+    pub fn column_len(&self) -> u64 {
+        self.bitmap_len + self.values_len
     }
-    let mut aggs = Vec::with_capacity(dir.aggs.len());
-    for &(off, len, crc) in &dir.aggs {
-        let mut b = block(path, bytes, off, len, crc, verify)?;
-        aggs.push(if dir.v3 {
-            SparseColumn::decode_v3(&mut b)?
+
+    /// Verifies and decodes the bitmap block (`bytes` is exactly that
+    /// block).
+    pub(crate) fn decode_bitmap(
+        &self,
+        path: &Path,
+        mut bytes: &[u8],
+        verify: Verify,
+    ) -> Result<Bitmap, StoreError> {
+        check_crc(
+            path,
+            bytes,
+            self.bitmap_crc,
+            verify,
+            "bitmap checksum mismatch",
+        )?;
+        Ok(Bitmap::decode(&mut bytes)?)
+    }
+
+    /// Verifies and decodes the whole column (`bytes` is the bitmap block
+    /// followed by the value block, [`ColumnEntry::column_len`] bytes).
+    pub(crate) fn decode_column(
+        &self,
+        path: &Path,
+        bytes: &[u8],
+        verify: Verify,
+    ) -> Result<SparseColumn, StoreError> {
+        let split = usize::try_from(self.bitmap_len)
+            .map_err(|_| corrupt(path, "bitmap block too large"))?;
+        let Some((bitmap, mut values)) = bytes.split_at_checked(split) else {
+            return Err(corrupt(path, "column bytes truncated"));
+        };
+        let presence = self.decode_bitmap(path, bitmap, verify)?;
+        check_crc(
+            path,
+            values,
+            self.values_crc,
+            verify,
+            "values checksum mismatch",
+        )?;
+        Ok(if self.values_tagged {
+            SparseColumn::decode_values_v3(presence, &mut values)?
         } else {
-            SparseColumn::decode(&mut b)?
-        });
+            SparseColumn::decode_values(presence, &mut values)?
+        })
     }
-    Ok((bitmaps, aggs))
 }
 
-fn block<'a>(
+/// Parses a partition file's directory, v3 or v2 layout, into one
+/// [`ColumnEntry`] per column — the only decoder of that directory.
+/// `read(offset, len)` returns `len` bytes of the file from `offset`: a
+/// ranged disk read when opening lazily, a slice when the whole file is in
+/// memory ([`part_directory`]). A column count above `max_columns` is
+/// rejected before the directory is read, and the directory checksum is
+/// always verified.
+pub(crate) fn read_part_directory(
     path: &Path,
-    bytes: &'a [u8],
-    off: u64,
-    len: u64,
-    crc: u32,
-    verify: Verify,
-) -> Result<&'a [u8], StoreError> {
-    let off = usize::try_from(off).map_err(|_| corrupt(path, "view block too large"))?;
-    let len = usize::try_from(len).map_err(|_| corrupt(path, "view block too large"))?;
-    let Some(slice) = off.checked_add(len).and_then(|end| bytes.get(off..end)) else {
-        return Err(corrupt(path, "view block out of range"));
+    max_columns: usize,
+    mut read: impl FnMut(u64, u64) -> Result<Vec<u8>, StoreError>,
+) -> Result<Vec<ColumnEntry>, StoreError> {
+    let mut read = |off: u64, len: u64| {
+        let bytes = read(off, len)?;
+        if bytes.len() as u64 != len {
+            return Err(corrupt(path, "partition directory truncated"));
+        }
+        Ok(bytes)
     };
-    if verify == Verify::Checksums && crc32(slice) != crc {
-        return Err(corrupt(path, "view block checksum mismatch"));
+    let head = read(0, 8)?;
+    let first = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+    let v3 = first == PART_MAGIC_V3;
+    let n = if v3 {
+        u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"))
+    } else {
+        first
+    } as usize;
+    if n > max_columns {
+        return Err(corrupt(path, "partition column count out of range"));
     }
-    Ok(slice)
+    // A v3 directory packs the block lengths at two widths; a v2 one
+    // spends a fixed-size entry per column.
+    let widths = if v3 {
+        let w = read(8, 2)?;
+        let (wb, wv) = (u32::from(w[0]), u32::from(w[1]));
+        if wb > 64 || wv > 64 {
+            return Err(corrupt(path, "partition directory width out of range"));
+        }
+        Some((wb, wv))
+    } else {
+        None
+    };
+    let header_len = match widths {
+        Some((wb, wv)) => 10 + PackedInts::byte_len(n, wb) + PackedInts::byte_len(n, wv) + n * 8,
+        None => 4 + n * PART_DIR_ENTRY,
+    };
+    let header = read(0, (header_len + 4) as u64)?;
+    let (dir, dir_crc) = header.split_at(header_len);
+    check_crc(
+        path,
+        dir,
+        u32::from_le_bytes(dir_crc.try_into().expect("4 bytes")),
+        Verify::Checksums,
+        "partition directory checksum mismatch",
+    )?;
+
+    // The blocks follow the directory back to back, in column order.
+    let mut entries = Vec::with_capacity(n);
+    let mut offset = (header_len + 4) as u64;
+    let mut push = |bitmap_len: u64, values_len: u64, bitmap_crc: u32, values_crc: u32| {
+        entries.push(ColumnEntry {
+            offset,
+            bitmap_len,
+            values_len,
+            bitmap_crc,
+            values_crc,
+            values_tagged: v3,
+        });
+        offset = bitmap_len
+            .checked_add(values_len)
+            .and_then(|len| offset.checked_add(len))
+            .ok_or_else(|| corrupt(path, "column bytes truncated"))?;
+        Ok::<_, StoreError>(())
+    };
+    match widths {
+        Some((wb, wv)) => {
+            let truncated = || corrupt(path, "partition directory truncated");
+            let bl_end = 10 + PackedInts::byte_len(n, wb);
+            let vl_end = bl_end + PackedInts::byte_len(n, wv);
+            let blens = PackedInts::from_bytes(&dir[10..bl_end], wb, n).ok_or_else(truncated)?;
+            let vlens =
+                PackedInts::from_bytes(&dir[bl_end..vl_end], wv, n).ok_or_else(truncated)?;
+            let mut crcs = &dir[vl_end..];
+            for i in 0..n {
+                push(
+                    blens.get(i),
+                    vlens.get(i),
+                    crcs.get_u32_le(),
+                    crcs.get_u32_le(),
+                )?;
+            }
+        }
+        None => {
+            let mut buf = &dir[4..];
+            for _ in 0..n {
+                push(
+                    buf.get_u64_le(),
+                    buf.get_u64_le(),
+                    buf.get_u32_le(),
+                    buf.get_u32_le(),
+                )?;
+            }
+        }
+    }
+    Ok(entries)
 }
 
-/// The parsed views-file directory: `(offset, length, crc)` per block.
+/// The partition directory (`read_part_directory`, the one parser of
+/// both layouts) of a whole partition file held in memory.
+pub fn part_directory(
+    path: &Path,
+    bytes: &[u8],
+    max_columns: usize,
+) -> Result<Vec<ColumnEntry>, StoreError> {
+    read_part_directory(path, max_columns, |off, len| {
+        slice(bytes, off, len)
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| corrupt(path, "partition directory truncated"))
+    })
+}
+
+/// Where one view block sits in the views file, and its checksum.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ViewEntry {
+    pub offset: u64,
+    pub len: u64,
+    pub crc: u32,
+}
+
+/// The parsed views-file directory.
 pub(crate) struct ViewsDirectory {
-    pub views: Vec<(u64, u64, u32)>,
-    pub aggs: Vec<(u64, u64, u32)>,
+    /// One entry per graph-view bitmap.
+    pub views: Vec<ViewEntry>,
+    /// One entry per aggregate-view column.
+    pub aggs: Vec<ViewEntry>,
     /// True when the file carried the v3 magic: agg-view payloads are
     /// codec-tagged and must decode through [`SparseColumn::decode_v3`].
-    pub v3: bool,
+    v3: bool,
+}
+
+impl ViewsDirectory {
+    /// Verifies and decodes graph view `i` from its block bytes.
+    pub(crate) fn decode_view(
+        &self,
+        path: &Path,
+        i: usize,
+        mut bytes: &[u8],
+        verify: Verify,
+    ) -> Result<Bitmap, StoreError> {
+        check_crc(
+            path,
+            bytes,
+            self.views[i].crc,
+            verify,
+            "view block checksum mismatch",
+        )?;
+        Ok(Bitmap::decode(&mut bytes)?)
+    }
+
+    /// Verifies and decodes aggregate view `i` from its block bytes.
+    pub(crate) fn decode_agg(
+        &self,
+        path: &Path,
+        i: usize,
+        mut bytes: &[u8],
+        verify: Verify,
+    ) -> Result<SparseColumn, StoreError> {
+        check_crc(
+            path,
+            bytes,
+            self.aggs[i].crc,
+            verify,
+            "view block checksum mismatch",
+        )?;
+        Ok(if self.v3 {
+            SparseColumn::decode_v3(&mut bytes)?
+        } else {
+            SparseColumn::decode(&mut bytes)?
+        })
+    }
 }
 
 /// Parses (and structurally verifies) the views-file directory. The
@@ -766,10 +766,10 @@ pub(crate) fn parse_views_directory(
 
     let total = bytes.len() as u64;
     let mut offset = (header_len + 4) as u64;
-    let mut place = |entries: &[(u64, u32)]| -> Result<Vec<(u64, u64, u32)>, StoreError> {
+    let mut place = |entries: &[(u64, u32)]| -> Result<Vec<ViewEntry>, StoreError> {
         let mut out = Vec::with_capacity(entries.len());
         for &(len, crc) in entries {
-            out.push((offset, len, crc));
+            out.push(ViewEntry { offset, len, crc });
             offset = offset
                 .checked_add(len)
                 .ok_or_else(|| corrupt(path, "view block out of range"))?;
@@ -782,6 +782,59 @@ pub(crate) fn parse_views_directory(
     let views = place(&view_entries)?;
     let aggs = place(&agg_entries)?;
     Ok(ViewsDirectory { views, aggs, v3 })
+}
+
+// ---------------------------------------------------------------------------
+// Load.
+
+/// Loads a relation previously written by [`save`], verifying checksums.
+pub fn load(dir: &Path) -> Result<MasterRelation, StoreError> {
+    load_with(&OsVfs, dir, Verify::Checksums)
+}
+
+/// Loads a relation through `vfs`. `verify` chooses whether payload CRCs
+/// are checked ([`Verify::TrustDisk`] is the fuzzer's teeth-test hook;
+/// structural bounds and the manifest CRC are checked regardless). Each
+/// data file is read once, whole, and every column decodes through the
+/// same [`ColumnEntry`] decoder the disk-resident store fetches with.
+pub fn load_with(vfs: &dyn Vfs, dir: &Path, verify: Verify) -> Result<MasterRelation, StoreError> {
+    let manifest = read_manifest(vfs, dir)?;
+    let mut columns = Vec::with_capacity(manifest.edge_count);
+    for p in 0..manifest.part_count() {
+        let path = dir.join(part_file_name(manifest.generation, p));
+        let bytes = vfs.read(&path).map_err(|e| open_read_err(&path, e))?;
+        for entry in part_directory(&path, &bytes, manifest.edge_count - columns.len())? {
+            let block = slice(&bytes, entry.offset, entry.column_len())
+                .ok_or_else(|| corrupt(&path, "column bytes truncated"))?;
+            columns.push(entry.decode_column(&path, block, verify)?);
+        }
+    }
+    if columns.len() != manifest.edge_count {
+        return Err(StoreError::Format("column count mismatch"));
+    }
+
+    let mut relation =
+        MasterRelation::from_columns(columns, manifest.partition_width, manifest.record_count);
+
+    let path = dir.join(views_file_name(manifest.generation));
+    let bytes = vfs.read(&path).map_err(|e| open_read_err(&path, e))?;
+    let views = parse_views_directory(&path, &bytes)?;
+    // The directory parse bounded every block by the file length.
+    let block = |e: &ViewEntry| slice(&bytes, e.offset, e.len).expect("view block in range");
+    let bitmaps = views
+        .views
+        .iter()
+        .enumerate()
+        .map(|(i, e)| views.decode_view(&path, i, block(e), verify))
+        .collect::<Result<Vec<_>, _>>()?;
+    let aggs = views
+        .aggs
+        .iter()
+        .enumerate()
+        .map(|(i, e)| views.decode_agg(&path, i, block(e), verify))
+        .collect::<Result<Vec<_>, _>>()?;
+    relation.restore_views(bitmaps, aggs);
+    Ok(relation)
 }
 
 /// True when the live generation carries a sidecar called `name`.
@@ -962,6 +1015,7 @@ mod tests {
             &r,
             &[("universe.txt", b"u1"), ("meta.txt", b"m1")],
             &dir,
+            &[],
         )
         .unwrap();
         assert_eq!(read_sidecar(&OsVfs, &dir, "universe.txt").unwrap(), b"u1");
@@ -970,6 +1024,7 @@ mod tests {
             &r,
             &[("universe.txt", b"u2"), ("meta.txt", b"m2")],
             &dir,
+            &[],
         )
         .unwrap();
         assert_eq!(read_sidecar(&OsVfs, &dir, "universe.txt").unwrap(), b"u2");
@@ -982,7 +1037,7 @@ mod tests {
         let vfs = FaultVfs::new(7);
         let dir = std::path::Path::new("/store");
         let r = build(20, 8);
-        save_with(&vfs, &r, &[], dir).unwrap();
+        save_with(&vfs, &r, &[], dir, &[]).unwrap();
         assert!(load_with(&vfs, dir, Verify::Checksums).is_ok());
         // Flip one byte deep inside a partition file's payload region.
         let part = dir.join(part_file_name(
@@ -1005,75 +1060,12 @@ mod tests {
         let vfs = FaultVfs::new(11);
         let dir = std::path::Path::new("/store");
         let r = build(30, 8);
-        save_with(&vfs, &r, &[("s.txt", b"payload")], dir).unwrap();
+        save_with(&vfs, &r, &[("s.txt", b"payload")], dir, &[]).unwrap();
         vfs.reboot(); // everything was fsynced or renamed: nothing may be lost
         let back = load_with(&vfs, dir, Verify::Checksums).unwrap();
         assert_eq!(back.record_count(), r.record_count());
         assert_eq!(back.edge_count(), r.edge_count());
         assert_eq!(read_sidecar(&vfs, dir, "s.txt").unwrap(), b"payload");
-    }
-
-    /// A relation saved with the explicit legacy format loads through the
-    /// same reader as a v3 save, answer-identically, and the manifest
-    /// records which format was written.
-    #[test]
-    fn explicit_v2_save_round_trips_and_manifest_records_version() {
-        let dir = tmpdir("v2-format");
-        let r = build(50, 16);
-        save_with_keep_format(&OsVfs, &r, &[], &dir, &[], FormatVersion::V2).unwrap();
-        assert_eq!(
-            read_manifest(&OsVfs, &dir).unwrap().version,
-            FORMAT_VERSION_V2
-        );
-        let v2 = load(&dir).unwrap();
-        let v2_bytes = disk_size(&dir).unwrap();
-
-        save(&r, &dir).unwrap(); // default writer: v3
-        assert_eq!(
-            read_manifest(&OsVfs, &dir).unwrap().version,
-            FORMAT_VERSION_V3
-        );
-        let v3 = load(&dir).unwrap();
-        let v3_bytes = disk_size(&dir).unwrap();
-        assert!(
-            v3_bytes <= v2_bytes,
-            "v3 ({v3_bytes}B) must not exceed v2 ({v2_bytes}B)"
-        );
-
-        let mut s = IoStats::new();
-        for e in 0..50u32 {
-            assert_eq!(
-                v2.edge_measures(EdgeId(e), &mut s),
-                v3.edge_measures(EdgeId(e), &mut s),
-                "edge {e} differs between formats"
-            );
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Mixed generations on disk: a v2 generation pinned (kept) while a v3
-    /// save publishes. Both must load by their self-describing file magic.
-    #[test]
-    fn pinned_v2_generation_coexists_with_live_v3() {
-        let vfs = FaultVfs::new(3);
-        let dir = std::path::Path::new("/store");
-        let r = build(20, 8);
-        save_with_keep_format(&vfs, &r, &[], dir, &[], FormatVersion::V2).unwrap();
-        let g2 = live_generation(&vfs, dir).unwrap();
-        save_with_keep_format(&vfs, &r, &[], dir, &[g2], FormatVersion::V3).unwrap();
-        let g3 = live_generation(&vfs, dir).unwrap();
-        assert_ne!(g2, g3);
-        // The pinned v2 part files survived GC alongside the live v3 ones.
-        let names: Vec<String> = vfs
-            .list(dir)
-            .unwrap()
-            .iter()
-            .map(|f| f.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        assert!(names.contains(&part_file_name(g2, 0)));
-        assert!(names.contains(&part_file_name(g3, 0)));
-        let back = load_with(&vfs, dir, Verify::Checksums).unwrap();
-        assert_eq!(back.record_count(), r.record_count());
     }
 
     #[test]

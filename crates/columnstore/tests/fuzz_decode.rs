@@ -54,7 +54,7 @@ fn relation_load_rejects_corrupt_directory() {
     persist::save(&relation, &dir).unwrap();
 
     // Truncate a partition file: load must error, not panic. Part files
-    // are generation-named (format v2), so locate it by suffix.
+    // are generation-named, so locate it by suffix.
     let part = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())

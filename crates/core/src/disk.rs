@@ -122,34 +122,12 @@ pub fn save_store_with(vfs: &dyn Vfs, store: &GraphStore, dir: &Path) -> Result<
 /// `extra_sidecars` (e.g. the WAL fold watermark) atomically with the
 /// relation, and spares the `keep` generations — those still pinned by
 /// live snapshots — from the post-publish garbage collection.
-pub fn save_store_with_opts(
+pub(crate) fn save_store_with_opts(
     vfs: &dyn Vfs,
     store: &GraphStore,
     dir: &Path,
     extra_sidecars: &[(&str, &[u8])],
     keep: &[u64],
-) -> Result<u64, DiskError> {
-    save_store_with_format(
-        vfs,
-        store,
-        dir,
-        extra_sidecars,
-        keep,
-        graphbi_columnstore::FormatVersion::default(),
-    )
-}
-
-/// [`save_store_with_opts`] with an explicit on-disk format version. The
-/// differential matrix uses this to write legacy (v2, raw-payload) stores
-/// and prove the reader handles both formats — and mixed generations —
-/// identically.
-pub fn save_store_with_format(
-    vfs: &dyn Vfs,
-    store: &GraphStore,
-    dir: &Path,
-    extra_sidecars: &[(&str, &[u8])],
-    keep: &[u64],
-    format: graphbi_columnstore::FormatVersion,
 ) -> Result<u64, DiskError> {
     // View definitions: the relation holds only the columns; the defs that
     // map them back to edge sets live in a text sidecar.
@@ -160,13 +138,12 @@ pub fn save_store_with_format(
         (VIEWS_META_SIDECAR, meta.as_bytes()),
     ];
     sidecars.extend_from_slice(extra_sidecars);
-    Ok(persist::save_with_keep_format(
+    Ok(persist::save_with(
         vfs,
         store.relation(),
         &sidecars,
         dir,
         keep,
-        format,
     )?)
 }
 

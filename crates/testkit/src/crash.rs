@@ -28,10 +28,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use graphbi::disk::{save_store_with, save_store_with_format, DiskGraphStore};
+use graphbi::disk::{save_store_with, DiskGraphStore};
 use graphbi::{AggFn, GraphStore, MvccStore, QueryRequest, Response, Session};
+use graphbi_columnstore::persist::part_directory;
 use graphbi_columnstore::vfs::Fault as VfsFault;
-use graphbi_columnstore::{DeltaOp, FaultVfs, FormatVersion, Verify, Vfs};
+use graphbi_columnstore::{DeltaOp, FaultVfs, Verify, Vfs};
 use graphbi_graph::RecordBuilder;
 
 use crate::engines::delta_batches;
@@ -102,18 +103,11 @@ impl CrashReport {
     }
 }
 
-/// Runs the full crash-consistency sweep on one scenario, over the
-/// default (v3, compressed) on-disk format.
+/// Runs the full crash-consistency sweep on one scenario: every fault
+/// kind at every VFS operation of a save must reopen as exactly-old or
+/// exactly-new, and every flipped payload byte of the published store
+/// must be caught by a CRC ([`flip_sweep`]).
 pub fn check(scenario: &Scenario, fault: CrashFault) -> CrashReport {
-    check_format(scenario, fault, FormatVersion::default())
-}
-
-/// [`check`] with the on-disk format of the baseline and of the save
-/// under test pinned explicitly, so the sweep covers legacy v2 (raw
-/// payloads) and v3 (compressed) files with identical guarantees: every
-/// fault kind at every VFS operation must reopen as exactly-old or
-/// exactly-new, and every flipped payload byte must be caught by a CRC.
-pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersion) -> CrashReport {
     let mut report = CrashReport::default();
     let verify = match fault {
         CrashFault::None => Verify::Checksums,
@@ -131,8 +125,7 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
 
     // Baseline: the old store saved through a clean in-memory disk.
     let base = FaultVfs::new(scenario.seed);
-    save_store_with_format(&base, &old_store, &dir, &[], &[], format)
-        .expect("baseline save on a clean FaultVfs");
+    save_store_with(&base, &old_store, &dir).expect("baseline save on a clean FaultVfs");
     let ops_before = base.op_count();
 
     // The workload, restricted to requests every engine can answer
@@ -154,8 +147,7 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
     // Dry run of the save under test: counts the VFS operations it
     // performs — the crash sweep arms one fault at each of those indices.
     let clean = Arc::new(base.fork());
-    save_store_with_format(clean.as_ref(), &new_store, &dir, &[], &[], format)
-        .expect("dry-run save");
+    save_store_with(clean.as_ref(), &new_store, &dir).expect("dry-run save");
     let save_ops = clean.op_count() - ops_before;
     clean.reboot();
     let new_expected = {
@@ -172,7 +164,7 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
             let site = format!("{kind:?}@{k}");
             let f = Arc::new(base.fork());
             f.arm(kind, ops_before + k);
-            let saved = save_store_with_format(f.as_ref(), &new_store, &dir, &[], &[], format);
+            let saved = save_store_with(f.as_ref(), &new_store, &dir);
             // Power loss right after the save call returns (or dies):
             // only fsynced state may survive.
             f.crash();
@@ -228,19 +220,36 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
         }
     }
 
-    // Phase 2: corruption at rest. Flip one durable byte of the published
-    // store per experiment; reopening + querying must either surface a
-    // typed corruption error or answer exactly like the intact store.
-    for (path, offset) in flip_targets(&clean, &dir) {
+    // Phase 2: corruption at rest over the published new store.
+    let flips = flip_sweep(&clean, &dir, verify, &reqs, &new_expected);
+    report.flip_points += flips.flip_points;
+    report.failures.extend(flips.failures);
+    report
+}
+
+/// Corruption at rest over any store published in `vfs` at `dir`: one
+/// experiment per [`flip_targets`] offset flips that durable byte in a
+/// fresh fork, reopens with `verify` and answers `reqs`. Each must either
+/// surface a typed corruption error or answer exactly `expected` (the
+/// intact store's answers); anything else is reported as a failure.
+pub fn flip_sweep(
+    vfs: &FaultVfs,
+    dir: &Path,
+    verify: Verify,
+    reqs: &[QueryRequest],
+    expected: &[Response],
+) -> CrashReport {
+    let mut report = CrashReport::default();
+    for (path, offset) in flip_targets(vfs, dir) {
         report.flip_points += 1;
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let site = format!("flip {name}@{offset}");
-        let f = Arc::new(clean.fork());
+        let f = Arc::new(vfs.fork());
         f.corrupt_at(&path, offset);
-        let disk = match DiskGraphStore::open_with(&dir, CACHE_BYTES, f, verify) {
+        let disk = match DiskGraphStore::open_with(dir, CACHE_BYTES, f, verify) {
             Ok(d) => d,
             Err(e) if e.is_corruption() => continue, // caught at open: good
             Err(e) => {
@@ -251,11 +260,11 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
                 continue;
             }
         };
-        match answers(&disk, &reqs) {
+        match answers(&disk, reqs) {
             Err(e) if e.is_corruption() => {} // caught at fetch: good
             Err(e) => report.fail(site, format!("query failed with non-corruption error: {e}")),
             Ok(got) => {
-                if got != new_expected {
+                if got != expected {
                     report.fail(
                         site,
                         "flipped byte changed answers silently (checksum missed it)".into(),
@@ -264,7 +273,6 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
             }
         }
     }
-
     report
 }
 
@@ -618,14 +626,13 @@ fn answers<S: Session>(
 /// of every other file (manifest, views, sidecars — their checksums are
 /// always on, so those must surface as typed errors).
 ///
-/// Understands both partition layouts: v2
-/// (`[ncols][(blen u64, vlen u64, crc, crc)×n][dir_crc][payloads]`) and v3
-/// (`[magic][ncols][wb][wv][packed blens][packed vlens][crc pairs]
-/// [dir_crc][payloads]`). For a v3 file the first values byte is the codec
-/// tag — flipping it must surface as a *typed* error even with checksums
-/// off — so each column also gets an interior flip (mid-payload, inside a
-/// raw f64 or the dictionary) that stays silent under
-/// [`Verify::TrustDisk`]: the `DropCrc` bait the teeth test needs.
+/// Partition files are located through the store's own directory parser,
+/// so both layouts (v3 and read-only v2) are covered. The first values
+/// byte of a v3 column is its codec tag — flipping it must surface as a
+/// *typed* error even with checksums off — so each column also gets an
+/// interior flip (mid-payload, inside a raw f64 or the dictionary) that
+/// stays silent under [`Verify::TrustDisk`]: the `DropCrc` bait the teeth
+/// test needs.
 fn flip_targets(vfs: &FaultVfs, dir: &Path) -> Vec<(PathBuf, usize)> {
     /// Values-payload flips per partition file — enough that several land
     /// in columns the workload actually fetches.
@@ -647,75 +654,39 @@ fn flip_targets(vfs: &FaultVfs, dir: &Path) -> Vec<(PathBuf, usize)> {
             out.push((path, bytes.len() - 1));
             continue;
         }
-        let Some((payload_start, lens)) = parse_part_header(&bytes) else {
+        let Ok(columns) = part_directory(&path, &bytes, usize::MAX) else {
             continue;
         };
-        let mut off = payload_start;
         let mut flips = 0;
-        for (c, &(bitmap_len, values_len)) in lens.iter().enumerate() {
-            if flips < FLIPS_PER_PART {
-                if values_len > 0 && off + bitmap_len < bytes.len() {
-                    // First byte of the column's measure values (the codec
-                    // tag on v3 files).
-                    out.push((path.clone(), off + bitmap_len));
-                    flips += 1;
-                    // An interior byte of the values payload: inside a raw
-                    // f64 (or the dictionary) where no structural check
-                    // can notice — only the CRC stands between this flip
-                    // and a silently wrong measure.
-                    let interior = off + bitmap_len + (values_len / 2).max(1);
-                    if c % 2 == 0 && values_len > 1 && interior < bytes.len() {
-                        out.push((path.clone(), interior));
-                        flips += 1;
-                    }
-                } else if bitmap_len > 0 && off < bytes.len() {
-                    // Columns without measures: flip structure instead.
-                    out.push((path.clone(), off));
+        for (c, col) in columns.iter().enumerate() {
+            if flips >= FLIPS_PER_PART {
+                break;
+            }
+            let (off, bitmap_len, values_len) = (
+                col.offset as usize,
+                col.bitmap_len as usize,
+                col.values_len as usize,
+            );
+            if values_len > 0 && off + bitmap_len < bytes.len() {
+                // First byte of the column's measure values (the codec
+                // tag on v3 files).
+                out.push((path.clone(), off + bitmap_len));
+                flips += 1;
+                // An interior byte of the values payload: inside a raw
+                // f64 (or the dictionary) where no structural check can
+                // notice — only the CRC stands between this flip and a
+                // silently wrong measure.
+                let interior = off + bitmap_len + (values_len / 2).max(1);
+                if c % 2 == 0 && values_len > 1 && interior < bytes.len() {
+                    out.push((path.clone(), interior));
                     flips += 1;
                 }
+            } else if bitmap_len > 0 && off < bytes.len() {
+                // Columns without measures: flip structure instead.
+                out.push((path.clone(), off));
+                flips += 1;
             }
-            off += bitmap_len + values_len;
         }
     }
     out
-}
-
-/// Parses either partition-file header, returning the payload start offset
-/// and each column's `(bitmap_len, values_len)`.
-fn parse_part_header(bytes: &[u8]) -> Option<(usize, Vec<(usize, usize)>)> {
-    use graphbi_columnstore::codec::PackedInts;
-
-    if bytes.len() < 8 {
-        return None;
-    }
-    let head = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if head == graphbi_columnstore::persist::PART_MAGIC_V3 {
-        let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        if bytes.len() < 10 {
-            return None;
-        }
-        let (wb, wv) = (u32::from(bytes[8]), u32::from(bytes[9]));
-        let bl_bytes = PackedInts::byte_len(n, wb);
-        let vl_bytes = PackedInts::byte_len(n, wv);
-        let header = 10 + bl_bytes + vl_bytes + n * 8;
-        if bytes.len() < header + 4 {
-            return None;
-        }
-        let blens = PackedInts::from_bytes(&bytes[10..10 + bl_bytes], wb, n)?;
-        let vlens = PackedInts::from_bytes(&bytes[10 + bl_bytes..10 + bl_bytes + vl_bytes], wv, n)?;
-        let lens = (0..n)
-            .map(|i| (blens.get(i) as usize, vlens.get(i) as usize))
-            .collect();
-        return Some((header + 4, lens));
-    }
-    let n = head as usize;
-    let header = 4 + n * 24;
-    if bytes.len() < header + 4 {
-        return None;
-    }
-    let le64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let lens = (0..n)
-        .map(|c| (le64(4 + c * 24), le64(4 + c * 24 + 8)))
-        .collect();
-    Some((header + 4, lens))
 }

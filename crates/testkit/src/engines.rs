@@ -23,27 +23,22 @@
 //! * `columnar-disk-wal` — the same ingest against a disk-backed
 //!   [`MvccStore`] on a [`FaultVfs`], with a mid-stream compaction and a
 //!   full reopen (WAL replay + fold-watermark skip) before answering;
-//! * `columnar-disk-{v2,v3}` / `columnar-disk-v3-faultvfs` — the database
-//!   written with an explicitly pinned on-disk format (legacy raw v2 vs
-//!   compressed v3), so the codec paths and reader-side backward
-//!   compatibility are differentially tested on every scenario;
-//! * `columnar-disk-wal-mixed` — the WAL ingest over a *v2* base with a
-//!   snapshot pinned across the (v3-emitting) compaction, proving mixed
-//!   v2/v3 generations answer identically;
 //! * `row`, `rdf`, `graphdb` — the three baseline systems.
+//!
+//! Every disk row reads format v3, the only format written. Reading the
+//! legacy v2 format — alone and mixed with v3 generations — is tested
+//! against a checked-in v2 store (`tests/v2_fixture.rs`).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use graphbi::disk::{
-    load_store, save_store, save_store_with, save_store_with_format, DiskGraphStore,
-};
+use graphbi::disk::{load_store, save_store, save_store_with, DiskGraphStore};
 use graphbi::{
     AggFn, EvalOptions, GraphQuery, GraphStore, MvccStore, PathAggQuery, PathAggResult, QueryExpr,
     QueryRequest, QueryResult, RecordId, Session,
 };
 use graphbi_baselines::{Engine, GraphDb, RdfStore, RowStore};
-use graphbi_columnstore::{os_vfs, DeltaOp, FaultVfs, FormatVersion, Verify};
+use graphbi_columnstore::{DeltaOp, FaultVfs, Verify};
 use graphbi_graph::RecordBuilder;
 
 use crate::scenario::Scenario;
@@ -433,53 +428,6 @@ impl Matrix {
             shards: 1,
             label: "columnar-disk-faultvfs-views".into(),
         }));
-        // Format-version rows: the same database written explicitly as
-        // legacy v2 (raw payloads) and as compressed v3, each answering as
-        // its own matrix row — the reader-side backward-compat guarantee
-        // and the compressed read path under differential test on every
-        // scenario. The v3 row additionally runs on the FaultVfs substrate.
-        for (format, version, label) in [
-            (FormatVersion::V2, 2, "columnar-disk-v2"),
-            (FormatVersion::V3, 3, "columnar-disk-v3"),
-        ] {
-            let fmt_dir = dir.join(format!("fmt-v{version}"));
-            save_store_with_format(os_vfs().as_ref(), &mem, &fmt_dir, &[], &[], format)
-                .expect("save format-pinned database");
-            let fmt_disk = Arc::new(
-                DiskGraphStore::open(&fmt_dir, DISK_CACHE_BYTES).expect("open format-pinned store"),
-            );
-            assert_eq!(
-                fmt_disk.relation().format_version(),
-                version,
-                "manifest must record the pinned format"
-            );
-            engines.push(Box::new(ColumnarDisk {
-                disk: fmt_disk,
-                opts: EvalOptions::default(),
-                shards: 1,
-                label: label.into(),
-            }));
-        }
-        let v3f_vfs = Arc::new(FaultVfs::new(scenario.seed ^ 0x7333));
-        let v3f_dir = PathBuf::from("/matrixdb-v3");
-        save_store_with_format(
-            v3f_vfs.as_ref(),
-            &mem,
-            &v3f_dir,
-            &[],
-            &[],
-            FormatVersion::V3,
-        )
-        .expect("save v3 through FaultVfs");
-        engines.push(Box::new(ColumnarDisk {
-            disk: Arc::new(
-                DiskGraphStore::open_with(&v3f_dir, DISK_CACHE_BYTES, v3f_vfs, Verify::Checksums)
-                    .expect("open v3 through FaultVfs"),
-            ),
-            opts: EvalOptions::default(),
-            shards: 1,
-            label: "columnar-disk-v3-faultvfs".into(),
-        }));
         // The write path: half the records as an immutable base, the rest
         // streamed in as delta commits. Answers must match the reference
         // over the FULL record list — the merge, the WAL, the compaction
@@ -522,49 +470,6 @@ impl Matrix {
         engines.push(Box::new(ColumnarMvcc {
             store: Arc::new(reopened),
             label: "columnar-disk-wal".into(),
-        }));
-        // Mixed-generation row: the base generation is written as legacy
-        // v2, deltas stream in over the WAL, and the mid-stream compaction
-        // publishes a v3 generation — with a snapshot pinning the v2 base
-        // across the compaction so both formats coexist on disk. Proves
-        // `MvccStore::compact` across format versions, answer-identically.
-        let mixed_vfs = Arc::new(FaultVfs::new(scenario.seed ^ 0x313d));
-        let mixed_dir = PathBuf::from("/mvccdb-mixed");
-        save_store_with_format(
-            mixed_vfs.as_ref(),
-            &half_store(scenario, half),
-            &mixed_dir,
-            &[],
-            &[],
-            FormatVersion::V2,
-        )
-        .expect("save v2 mvcc base through FaultVfs");
-        let mixed = MvccStore::open_disk(
-            &mixed_dir,
-            DISK_CACHE_BYTES,
-            mixed_vfs.clone(),
-            Verify::Checksums,
-        )
-        .expect("open mixed mvcc store");
-        let pin = mixed.snapshot();
-        for batch in &batches[..mid] {
-            mixed.commit(batch).expect("mixed wal commit");
-        }
-        mixed.compact().expect("compact v2 base into v3");
-        for batch in &batches[mid..] {
-            mixed.commit(batch).expect("mixed wal commit");
-        }
-        drop(pin);
-        drop(mixed);
-        let mixed_reopened =
-            MvccStore::open_disk(&mixed_dir, DISK_CACHE_BYTES, mixed_vfs, Verify::Checksums)
-                .expect("reopen mixed mvcc store");
-        mixed_reopened
-            .gc()
-            .expect("sweep unpinned mixed generations");
-        engines.push(Box::new(ColumnarMvcc {
-            store: Arc::new(mixed_reopened),
-            label: "columnar-disk-wal-mixed".into(),
         }));
         engines.push(Box::new(Labeled {
             engine: RowStore::load(&scenario.records),

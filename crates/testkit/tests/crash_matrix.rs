@@ -14,8 +14,9 @@ use graphbi_testkit::{crash, shrink_with, CrashFault, Scenario};
 /// The tier-1 crash smoke: several fixed seeds survive the whole
 /// crash-point × fault-kind sweep and the corruption-at-rest flips, and
 /// the sweep is demonstrably large (hundreds of seeded crash points).
-/// These saves are format v3 (the writer default), so every crash point
-/// and byte flip here runs over compressed files.
+/// Saves write format v3 only, so every crash point and byte flip here
+/// runs over compressed files; the legacy v2 flip sweep runs over the
+/// checked-in fixture (`tests/v2_fixture.rs`).
 #[test]
 fn crash_sweep_is_clean_on_fixed_seeds() {
     let mut crash_points = 0;
@@ -38,24 +39,6 @@ fn crash_sweep_is_clean_on_fixed_seeds() {
     assert!(
         flip_points >= 50,
         "suspiciously small flip sweep: {flip_points} flips"
-    );
-}
-
-/// The crash sweep pinned to the legacy v2 format: a backward-compatible
-/// store keeps exactly the same guarantees, through the same oracle.
-#[test]
-fn crash_sweep_is_clean_on_v2_format() {
-    let report = crash::check_format(&Scenario::generate(42), CrashFault::None, FormatVersion::V2);
-    assert!(
-        report.passed(),
-        "v2 sweep: {} broken guarantees, first: {}",
-        report.failures.len(),
-        report.failures[0],
-    );
-    assert!(
-        report.crash_points >= 60,
-        "suspiciously small v2 crash sweep: {} points",
-        report.crash_points
     );
 }
 
@@ -180,8 +163,8 @@ fn faultvfs_reload_answers_bit_identical_to_mem() {
         .expect("reopen through FaultVfs");
     assert_eq!(
         disk.relation().format_version(),
-        3,
-        "the default writer must emit format v3"
+        FormatVersion::V3,
+        "the writer must emit format v3"
     );
 
     let mut requests: Vec<QueryRequest> = Vec::new();

@@ -7,9 +7,9 @@ use graphbi_testkit::{check, shrink, Fault, Scenario};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use graphbi::disk::{save_store_with_format, DiskGraphStore};
+use graphbi::disk::{save_store_with, DiskGraphStore};
 use graphbi::{AggFn, GraphStore, QueryRequest, Session};
-use graphbi_columnstore::{FaultVfs, FormatVersion, Verify};
+use graphbi_columnstore::{FaultVfs, Verify};
 
 /// The tier-1 smoke: the full engine × plan-mode × backend matrix agrees
 /// with the reference model on several fixed seeds.
@@ -115,13 +115,13 @@ fn fuzz_window_is_clean() {
     }
 }
 
-/// Satellite: IoStats accounting on compressed stores. The same database
-/// is written as raw v2 and compressed v3; for every workload query the
-/// two must give bit-identical answers with identical *logical* cost
-/// counters, while the v3 physical `disk_bytes` — now charged in actual
-/// compressed bytes — never exceeds the v2 figure. And on the v3 store,
-/// a 3-way sharded run must report exactly the serial stats (physical
-/// read counters masked, as they depend on cache interleaving only).
+/// IoStats accounting on compressed stores. For every workload query the
+/// v3 disk store must answer bit-identically to the in-memory store (raw
+/// columns) with identical *logical* cost counters, and a 3-way sharded
+/// run on the v3 store must report exactly the serial stats (physical
+/// read counters masked, as they depend on cache interleaving only). The
+/// v2-vs-v3 physical comparison runs on the checked-in v2 fixture
+/// (`tests/v2_fixture.rs`).
 #[test]
 fn compressed_store_stats_match_raw_serial_and_sharded() {
     let scenario = Scenario::generate(42);
@@ -134,11 +134,9 @@ fn compressed_store_stats_match_raw_serial_and_sharded() {
     }
 
     let vfs = Arc::new(FaultVfs::new(0xc0));
-    let (v2_dir, v3_dir) = (PathBuf::from("/statsv2"), PathBuf::from("/statsv3"));
-    save_store_with_format(vfs.as_ref(), &mem, &v2_dir, &[], &[], FormatVersion::V2).unwrap();
-    save_store_with_format(vfs.as_ref(), &mem, &v3_dir, &[], &[], FormatVersion::V3).unwrap();
-    let v2 = DiskGraphStore::open_with(&v2_dir, 1 << 20, vfs.clone(), Verify::Checksums).unwrap();
-    let v3 = DiskGraphStore::open_with(&v3_dir, 1 << 20, vfs, Verify::Checksums).unwrap();
+    let dir = PathBuf::from("/statsv3");
+    save_store_with(vfs.as_ref(), &mem, &dir).unwrap();
+    let v3 = DiskGraphStore::open_with(&dir, 1 << 20, vfs, Verify::Checksums).unwrap();
 
     let mask_physical = |mut s: graphbi::IoStats| {
         s.disk_reads = 0;
@@ -146,31 +144,18 @@ fn compressed_store_stats_match_raw_serial_and_sharded() {
         s
     };
 
-    let (mut v2_bytes, mut v3_bytes, mut compared) = (0u64, 0u64, 0u32);
+    let mut compared = 0u32;
     for q in &scenario.queries {
         let req = QueryRequest::new(q.clone());
-        v2.relation().clear_cache();
         v3.relation().clear_cache();
-        let (a2, s2) = v2.execute(&req).expect("v2 evaluate");
+        let (raw, raw_stats) = mem.execute(&req).expect("mem evaluate");
         let (a3, s3) = v3.execute(&req).expect("v3 evaluate");
-        assert_eq!(a3, a2, "answers differ between formats: {q:?}");
+        assert_eq!(a3, raw, "compressed store answers differ from raw: {q:?}");
         assert_eq!(
             mask_physical(s3),
-            mask_physical(s2),
-            "logical cost differs between formats: {q:?}"
+            mask_physical(raw_stats),
+            "logical cost differs from raw: {q:?}"
         );
-        assert_eq!(
-            s3.disk_reads, s2.disk_reads,
-            "cold fetch count differs: {q:?}"
-        );
-        assert!(
-            s3.disk_bytes <= s2.disk_bytes,
-            "compressed read larger than raw ({} > {}): {q:?}",
-            s3.disk_bytes,
-            s2.disk_bytes
-        );
-        v2_bytes += s2.disk_bytes;
-        v3_bytes += s3.disk_bytes;
 
         let (a3s, s3s) = v3
             .execute(&QueryRequest::new(q.clone()).shards(3))
@@ -184,8 +169,4 @@ fn compressed_store_stats_match_raw_serial_and_sharded() {
         compared += 1;
     }
     assert!(compared >= 3, "too few queries compared: {compared}");
-    assert!(
-        v3_bytes <= v2_bytes,
-        "workload read more compressed bytes ({v3_bytes}) than raw ({v2_bytes})"
-    );
 }

@@ -229,6 +229,7 @@ fn malformed_views_meta_is_typed_from_both_openers() {
             mem.relation(),
             &sidecars,
             &dir,
+            &[],
         )
         .unwrap();
         let loaded = graphbi::disk::load_store(&dir).map(|_| ());
