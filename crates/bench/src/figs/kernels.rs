@@ -13,7 +13,12 @@
 //!   walk, at 7% and 60% presence × ≈2 400 and 40 ids;
 //! * **ordered vs unordered conjunctions** on a Zipf-cardinality workload —
 //!   what the selectivity-ordered planner buys over evaluating operands in
-//!   query order.
+//!   query order;
+//! * **Array × Array ∩ and ∖** on one-chunk bitmaps of random lows, from
+//!   8 × 10 values to 4096 × 4096 and a 64× lopsided pair — a plain sorted
+//!   merge vs the container kernels behind [`Bitmap::and_inplace`] and
+//!   [`Bitmap::and_not_inplace`] (mark-and-probe, or galloping where one
+//!   side is far shorter).
 //!
 //! Every kernel-path answer is checked bit-identical against its baseline
 //! before any timing is reported; a mismatch fails the run (and the CI job
@@ -295,6 +300,119 @@ fn zipf_pool(rng: &mut StdRng) -> Vec<Bitmap> {
         .collect()
 }
 
+/// The Array × Array rows as `(name, |a|, |b|, ∖ rather than ∩)`: random
+/// lows in chunk 0, with about half of `a` drawn from `b` so results are
+/// not empty.
+const ARRAY_SHAPES: [(&str, usize, usize, bool); 6] = [
+    ("array_and/tiny_8x10", 8, 10, false),
+    ("array_and/small_40x50", 40, 50, false),
+    ("array_and/balanced_1k", 1024, 1024, false),
+    ("array_and/balanced_4k", 4096, 4096, false),
+    ("array_and/lopsided_64x", 64, 4096, false),
+    ("array_andnot/balanced_4k", 4096, 4096, true),
+];
+
+/// `pairs` operand pairs of `na` × `nb` sorted ids of chunk 0. Random lows
+/// make every comparison of a merge unpredictable, as record ids are.
+fn array_pairs(na: usize, nb: usize, pairs: usize, rng: &mut StdRng) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let mut distinct = |n: usize, from: &[u32]| {
+        let mut set = std::collections::BTreeSet::new();
+        while set.len() < n / 2 && !from.is_empty() {
+            set.insert(from[rng.gen_range(0..from.len())]);
+        }
+        while set.len() < n {
+            set.insert(rng.gen_range(0..65_536u32));
+        }
+        set.into_iter().collect::<Vec<u32>>()
+    };
+    (0..pairs)
+        .map(|_| {
+            let b = distinct(nb, &[]);
+            (distinct(na, &b), b)
+        })
+        .collect()
+}
+
+/// The plain sorted merge, in place on `a`: `a ∩ b`, or `a ∖ b` when
+/// `andnot` — the reference the array rows are measured against.
+fn merge_inplace(a: &mut Vec<u32>, b: &[u32], andnot: bool) {
+    let (mut j, mut w) = (0, 0);
+    for i in 0..a.len() {
+        let v = a[i];
+        while j < b.len() && b[j] < v {
+            j += 1;
+        }
+        if (j < b.len() && b[j] == v) != andnot {
+            a[w] = v;
+            w += 1;
+        }
+    }
+    a.truncate(w);
+}
+
+/// Best-of-3 time of `op` applied in place to fresh copies of every input,
+/// `reps` times over, with the allocations of the fastest run. The copies
+/// are made and dropped outside the clock: an in-place kernel consumes its
+/// input, and copying is not what these rows measure.
+fn best_inplace<T: Clone>(
+    inputs: &[T],
+    reps: usize,
+    mut op: impl FnMut(&mut T, usize),
+) -> (Vec<T>, f64, u64) {
+    let mut best: Option<(Vec<T>, f64, u64)> = None;
+    for _ in 0..3 {
+        let mut copies: Vec<T> = (0..reps).flat_map(|_| inputs.iter().cloned()).collect();
+        let before = allocations();
+        let ((), ms) = time_ms(|| {
+            for (i, c) in copies.iter_mut().enumerate() {
+                op(c, i % inputs.len());
+            }
+        });
+        let allocs = allocations() - before;
+        if best.as_ref().is_none_or(|b| ms < b.1) {
+            copies.truncate(inputs.len());
+            best = Some((copies, ms, allocs));
+        }
+    }
+    best.expect("at least one run")
+}
+
+/// The Array × Array rows: the merge reference vs the container kernels,
+/// each over the same pairs, answers compared id for id.
+fn array_rows(rng: &mut StdRng) -> Vec<Comparison> {
+    ARRAY_SHAPES
+        .iter()
+        .map(|&(name, na, nb, andnot)| {
+            let pairs = array_pairs(na, nb, (200_000 / (na + nb)).min(4_096), rng);
+            let ids: Vec<Vec<u32>> = pairs.iter().map(|p| p.0.clone()).collect();
+            let (bitmaps, others): (Vec<Bitmap>, Vec<Bitmap>) = pairs
+                .iter()
+                .map(|(a, b)| (a.iter().copied().collect(), b.iter().copied().collect()))
+                .unzip();
+            let (base_out, base_ms, base_allocs) =
+                best_inplace(&ids, 3, |a, i| merge_inplace(a, &pairs[i].1, andnot));
+            let (kernel_out, kernel_ms, kernel_allocs) = best_inplace(&bitmaps, 3, |a, i| {
+                if andnot {
+                    a.and_not_inplace(&others[i]);
+                } else {
+                    a.and_inplace(&others[i]);
+                }
+            });
+            Comparison {
+                name,
+                base_ms,
+                kernel_ms,
+                base_allocs,
+                kernel_allocs,
+                identical: base_out
+                    .iter()
+                    .zip(&kernel_out)
+                    .all(|(base, kernel)| *base == kernel.to_vec()),
+            }
+        })
+        .collect()
+}
+
 /// Runs the benchmark; returns `false` when any kernel-path answer differed
 /// from its baseline counterpart.
 pub fn run() -> bool {
@@ -385,6 +503,7 @@ pub fn run() -> bool {
             |a, b| a == b,
         ),
     ];
+    comparisons.extend(array_rows(&mut rng));
     for (name, (gcol, gids), reps) in &gathers {
         comparisons.push(compare(
             name,
@@ -540,6 +659,22 @@ mod tests {
             let base = and_many_cloning(&refs);
             assert_eq!(base, Bitmap::and_many(refs.iter().copied()));
             assert_eq!(and_fold_unordered(&refs), base);
+        }
+    }
+
+    #[test]
+    fn merge_reference_agrees_with_array_kernels() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (name, na, nb, andnot) in ARRAY_SHAPES {
+            for (a, b) in array_pairs(na, nb, 2, &mut rng) {
+                let (ba, bb): (Bitmap, Bitmap) =
+                    (a.iter().copied().collect(), b.iter().copied().collect());
+                let mut merged = a.clone();
+                merge_inplace(&mut merged, &b, andnot);
+                let kernel = if andnot { ba.and_not(&bb) } else { ba.and(&bb) };
+                assert_eq!(merged, kernel.to_vec(), "{name}");
+                assert!(andnot || !merged.is_empty(), "{name}");
+            }
         }
     }
 

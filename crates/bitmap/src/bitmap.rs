@@ -158,7 +158,9 @@ impl Bitmap {
 
     /// Converts to a sorted `Vec` of ids.
     pub fn to_vec(&self) -> Vec<RecordId> {
-        self.iter().collect()
+        let mut out = Vec::with_capacity(usize::try_from(self.len()).expect("id count fits usize"));
+        self.for_each(|v| out.push(v));
+        out
     }
 
     /// Re-encodes every chunk in its smallest representation. Call after a

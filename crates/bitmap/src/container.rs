@@ -7,6 +7,31 @@
 //! result in the cheapest of array/words form; run form is only produced by
 //! [`Container::optimize`], which callers invoke after bulk loads.
 //!
+//! Allocating `and`/`and_not` copy one operand and run the in-place kernel
+//! on the copy, so each representation pair has one body.
+//!
+//! ∩ and ∖ of an array against anything but runs end in one of two
+//! filters, which compact the array in place:
+//!
+//! * **Array against a bitset** ([`retain_in_bits`]): test each value's
+//!   bit, write it at a cursor and advance the cursor by the kept bit. No
+//!   branch depends on the data, so random record ids cost what strided
+//!   ones do. Array × Words filters against the words themselves. Array ×
+//!   Array first marks the other array into a zeroed 1024-word stack
+//!   bitset: this *mark-and-probe* costs one pass over each side plus the
+//!   zeroing, where a sorted merge mispredicts a branch on most values.
+//! * **Array against a much longer array** ([`gallop_retain`]): each value
+//!   of the short side gallops forward through the long side. This costs
+//!   a few unpredictable probes per short value and nothing per long one.
+//!
+//! For Array × Array, [`gallop_pays`] picks between the two from the two
+//! lengths alone: galloping once the long side holds `31·short − 64` values
+//! (about 30× the short side; always for a short side of one or two);
+//! mark-and-probe otherwise, including balanced arrays of a few values,
+//! where the zeroing still costs less than galloping. Counts
+//! (`and_len`, hence `is_subset`) take the same two paths without
+//! building the result.
+//!
 //! Word-level loops (AND/OR/ANDNOT/XOR over dense containers, cardinality
 //! recounts, galloping probes) are delegated to [`crate::kernels`], which
 //! dispatches between scalar and AVX2 implementations at runtime.
@@ -441,9 +466,7 @@ fn select_in_word(mut word: u64, mut rank: u32) -> u16 {
 
 pub(crate) fn words_from_array(a: &[u16]) -> Box<Words> {
     let mut w = self::Words::empty();
-    for &v in a {
-        w.bits[usize::from(v >> 6)] |= 1 << (v & 63);
-    }
+    mark(&mut w.bits, a);
     w.card = u32::try_from(a.len()).expect("array container length fits u32");
     w
 }
@@ -492,26 +515,19 @@ pub(crate) fn array_from_words(w: &Words) -> Vec<u16> {
 // ---------------------------------------------------------------------------
 
 impl Container {
-    /// Intersection. Returns `None` when the result is empty.
+    /// Intersection: a copy of one operand, intersected in place with the
+    /// other. Returns `None` when the result is empty.
     pub fn and(&self, other: &Container) -> Option<Container> {
         use Container::*;
-        let mut out = match (self, other) {
-            (Array(a), Array(b)) => Array(intersect_arrays(a, b)),
-            (Array(a), Words(w)) | (Words(w), Array(a)) => {
-                Array(a.iter().copied().filter(|&v| w.contains(v)).collect())
-            }
-            (Words(a), Words(b)) => {
-                let mut w = a.clone();
-                w.card = u32::try_from(kernels::and_words(&mut w.bits, &b.bits))
-                    .expect("container card fits u32");
-                Words(w)
-            }
-            (Runs(a), Runs(b)) => Runs(intersect_runs(a, b)),
-            (Runs(rs), other) | (other, Runs(rs)) => {
-                return Container::Runs(rs.clone()).densify().and(other);
-            }
+        // ∩ commutes, so copy the cheaper side: array, then runs, then words;
+        // of two arrays the shorter, which the result fits in.
+        let (copy, rest) = match (self, other) {
+            (Words(_), Array(_) | Runs(_)) | (Runs(_), Array(_)) => (other, self),
+            (Array(a), Array(b)) if b.len() < a.len() => (other, self),
+            _ => (self, other),
         };
-        out.shrink();
+        let mut out = copy.clone();
+        out.and_inplace(rest);
         (!out.is_empty()).then_some(out)
     }
 
@@ -520,10 +536,8 @@ impl Container {
         use Container::*;
         match (self, other) {
             (Words(a), Words(b)) => kernels::and_card(&a.bits, &b.bits),
-            (Array(a), Words(w)) | (Words(w), Array(a)) => {
-                a.iter().filter(|&&v| w.contains(v)).count() as u64
-            }
-            (Array(a), Array(b)) => intersect_arrays(a, b).len() as u64,
+            (Array(a), Words(w)) | (Words(w), Array(a)) => count_in_bits(a, &w.bits),
+            (Array(a), Array(b)) => count_in_array(a, b),
             (Runs(a), Runs(b)) => intersect_runs(a, b).iter().map(|r| r.cardinality()).sum(),
             (Runs(rs), other) | (other, Runs(rs)) => {
                 Container::Runs(rs.clone()).densify().and_len(other)
@@ -568,29 +582,11 @@ impl Container {
         out
     }
 
-    /// Difference `self \ other`. Returns `None` when empty.
+    /// Difference `self \ other`: a copy of `self` with `other` removed in
+    /// place. Returns `None` when empty.
     pub fn and_not(&self, other: &Container) -> Option<Container> {
-        use Container::*;
-        let mut out = match (self, other) {
-            (Array(a), Array(b)) => Array(difference_arrays(a, b)),
-            (Array(a), Words(w)) => Array(a.iter().copied().filter(|&v| !w.contains(v)).collect()),
-            (Words(a), Words(b)) => {
-                let mut w = a.clone();
-                w.card = u32::try_from(kernels::andnot_words(&mut w.bits, &b.bits))
-                    .expect("container card fits u32");
-                Words(w)
-            }
-            (Words(w), Array(b)) => {
-                let mut w = w.clone();
-                for &v in b {
-                    w.remove(v);
-                }
-                Words(w)
-            }
-            (Runs(rs), other) => return Container::Runs(rs.clone()).densify().and_not(other),
-            (this, Runs(rs)) => return this.and_not(&Container::Runs(rs.clone()).densify()),
-        };
-        out.shrink();
+        let mut out = self.clone();
+        out.and_not_inplace(other);
         (!out.is_empty()).then_some(out)
     }
 
@@ -685,8 +681,8 @@ impl Container {
             }
         }
         match (&mut *self, other) {
-            (Array(a), Array(b)) => intersect_arrays_inplace(a, b),
-            (Array(a), Words(w)) => a.retain(|&v| w.contains(v)),
+            (Array(a), Array(b)) => retain_in_array(a, b, Keep::Hits),
+            (Array(a), Words(w)) => retain_in_bits(a, &w.bits, Keep::Hits),
             (Array(a), Runs(rs)) => {
                 let mut ri = 0;
                 a.retain(|&v| {
@@ -698,9 +694,10 @@ impl Container {
             }
             (Words(w), Array(b)) => {
                 // The result has at most `b.len() <= ARRAY_MAX` values, so it
-                // lands in array form anyway; build it directly from `b`.
-                let filtered: Vec<u16> = b.iter().copied().filter(|&v| w.contains(v)).collect();
-                *self = Array(filtered);
+                // lands in array form anyway; filter a copy of `b`.
+                let mut kept = b.clone();
+                retain_in_bits(&mut kept, &w.bits, Keep::Hits);
+                *self = Array(kept);
             }
             (Words(a), Words(b)) => {
                 a.card = u32::try_from(kernels::and_words(&mut a.bits, &b.bits))
@@ -726,8 +723,8 @@ impl Container {
         use Container::*;
         self.densify_in_place();
         match (&mut *self, other) {
-            (Array(a), Array(b)) => difference_arrays_inplace(a, b),
-            (Array(a), Words(w)) => a.retain(|&v| !w.contains(v)),
+            (Array(a), Array(b)) => retain_in_array(a, b, Keep::Misses),
+            (Array(a), Words(w)) => retain_in_bits(a, &w.bits, Keep::Misses),
             (Array(a), Runs(rs)) => {
                 let mut ri = 0;
                 a.retain(|&v| {
@@ -842,9 +839,111 @@ impl<'a> RunMasks<'a> {
     }
 }
 
-/// Size ratio beyond which array×array intersection switches from a linear
-/// merge to galloping (exponential) search in the larger operand.
-const GALLOP_RATIO: usize = 64;
+// ---------------------------------------------------------------------------
+// Array filters. Every ∩ and ∖ with an array on the left, and every count of
+// an array's intersection, ends in one of two kernels: an array against a
+// bitset, or an array against a much longer array.
+// ---------------------------------------------------------------------------
+
+/// What a filter keeps of the array it compacts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// Values the other operand holds (∩).
+    Hits,
+    /// Values the other operand lacks (∖).
+    Misses,
+}
+
+/// Bit `v` of a chunk bitset, as 0 or 1.
+#[inline]
+fn bit(bits: &[u64; WORDS], v: u16) -> u64 {
+    bits[usize::from(v >> 6)] >> (v & 63) & 1
+}
+
+/// Sets the bits of sorted `a`'s values in a zeroed bitset. The word being
+/// filled is carried in a register and stored whole after every value, so
+/// neighbouring values in one word do not wait on each other's store.
+fn mark(bits: &mut [u64; WORDS], a: &[u16]) {
+    let (mut cur, mut word) = (0, 0u64);
+    for &v in a {
+        let i = usize::from(v >> 6);
+        word = if i == cur { word } else { 0 } | 1 << (v & 63);
+        bits[i] = word;
+        cur = i;
+    }
+}
+
+/// An array against a bitset: compacts `a` to the values whose bit is set
+/// (`Keep::Hits`) or clear (`Keep::Misses`). Every value is written at the
+/// cursor, which then advances by the kept bit, so no branch depends on the
+/// data and random ids cost what strided ones do.
+fn retain_in_bits(a: &mut Vec<u16>, bits: &[u64; WORDS], keep: Keep) {
+    let flip = u64::from(keep == Keep::Misses);
+    let mut w = 0;
+    for i in 0..a.len() {
+        let v = a[i];
+        a[w] = v;
+        w += (bit(bits, v) ^ flip) as usize;
+    }
+    a.truncate(w);
+}
+
+/// How many of `a`'s values have their bit set.
+fn count_in_bits(a: &[u16], bits: &[u64; WORDS]) -> u64 {
+    a.iter().map(|&v| bit(bits, v)).sum()
+}
+
+/// Array × Array cost rule, in units of one array element visited: a
+/// gallop costs about `GALLOP_COST` per value of the short side (a search
+/// of a few probes with unpredictable branches), mark-and-probe one per
+/// value of either side plus `ZEROING_COST` to clear its stack bitset.
+fn gallop_pays(short: usize, long: usize) -> bool {
+    short * GALLOP_COST <= short + long + ZEROING_COST
+}
+
+/// Cost of one galloping search, in elements visited by mark-and-probe.
+const GALLOP_COST: usize = 32;
+
+/// Cost of zeroing the 1024-word bitset, in elements visited.
+const ZEROING_COST: usize = 64;
+
+/// ∩ or ∖ of two arrays, in place on `a`. Gallops where [`gallop_pays`];
+/// otherwise marks `b` in a stack bitset and filters `a` against it. ∖ only
+/// gallops with `a` as the short side: with `a` long it must be rewritten
+/// whole anyway, which the probe does in one pass.
+fn retain_in_array(a: &mut Vec<u16>, b: &[u16], keep: Keep) {
+    let gallop = match keep {
+        Keep::Hits => gallop_pays(a.len().min(b.len()), a.len().max(b.len())),
+        Keep::Misses => a.len() <= b.len() && gallop_pays(a.len(), b.len()),
+    };
+    if gallop {
+        gallop_retain(a, b, keep);
+    } else {
+        let mut bits = [0; WORDS];
+        mark(&mut bits, b);
+        retain_in_bits(a, &bits, keep);
+    }
+}
+
+/// Size of `a ∩ b` under the same rule, without building it.
+fn count_in_array(a: &[u16], b: &[u16]) -> u64 {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if gallop_pays(short.len(), long.len()) {
+        let mut lo = 0;
+        short
+            .iter()
+            .filter(|&&v| {
+                let (p, found) = gallop(&long[lo..], v);
+                lo += p;
+                found
+            })
+            .count() as u64
+    } else {
+        let mut bits = [0; WORDS];
+        mark(&mut bits, short);
+        count_in_bits(long, &bits)
+    }
+}
 
 /// Galloping search in sorted `s` for `v`: returns the index of the first
 /// element `>= v` and whether that element equals `v`. O(log d) where `d`
@@ -867,121 +966,30 @@ fn gallop(s: &[u16], v: u16) -> (usize, bool) {
     (p, p < s.len() && s[p] == v)
 }
 
-fn intersect_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
-    // Lopsided inputs: gallop through the big side instead of scanning it.
-    if a.len() > b.len() * GALLOP_RATIO {
-        return gallop_intersect(b, a);
-    }
-    if b.len() > a.len() * GALLOP_RATIO {
-        return gallop_intersect(a, b);
-    }
-    let (mut i, mut j) = (0, 0);
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Intersection where `small` is much shorter than `big`: for each value of
-/// `small`, gallop in the still-unsearched suffix of `big`.
-fn gallop_intersect(small: &[u16], big: &[u16]) -> Vec<u16> {
-    let mut out = Vec::with_capacity(small.len());
-    let mut lo = 0usize;
-    for &v in small {
-        if lo >= big.len() {
-            break;
-        }
-        let (p, found) = gallop(&big[lo..], v);
-        lo += p;
-        if found {
-            out.push(v);
-            lo += 1;
-        }
-    }
-    out
-}
-
-/// In-place `*a &= b` with a write cursor; gallops when sizes are lopsided.
-fn intersect_arrays_inplace(a: &mut Vec<u16>, b: &[u16]) {
-    if a.is_empty() {
-        return;
-    }
-    if b.is_empty() {
-        a.clear();
-        return;
-    }
-    if a.len() > b.len() * GALLOP_RATIO || b.len() > a.len() * GALLOP_RATIO {
-        // `a` big: probe `a` for each of `b`'s values, keeping hits in place.
-        // `a` small: probe `b` for each of `a`'s values. Same skeleton either
-        // way, with the roles of probe sequence and haystack swapped.
-        let a_is_big = a.len() > b.len();
-        let mut w = 0usize;
-        let mut lo = 0usize;
-        for i in 0.. {
-            let (probe, hay_len) = if a_is_big {
-                let Some(&v) = b.get(i) else { break };
-                (v, a.len())
-            } else {
-                if i >= a.len() {
-                    break;
-                }
-                (a[i], b.len())
-            };
-            if lo >= hay_len {
-                break;
-            }
-            let (p, found) = if a_is_big {
-                gallop(&a[lo..], probe)
-            } else {
-                gallop(&b[lo..], probe)
-            };
+/// An array against a much longer array, in place on `a`: each value of
+/// the short side gallops forward through the long side from where the
+/// previous search stopped.
+fn gallop_retain(a: &mut Vec<u16>, b: &[u16], keep: Keep) {
+    let (mut w, mut lo) = (0, 0);
+    if keep == Keep::Hits && a.len() > b.len() {
+        // The result lies within `b`: search `a` for each of `b`'s values
+        // and write the hits over the prefix of `a` already searched.
+        for &v in b {
+            let (p, found) = gallop(&a[lo..], v);
             lo += p;
             if found {
-                a[w] = probe;
+                a[w] = v;
                 w += 1;
                 lo += 1;
             }
         }
-        a.truncate(w);
-        return;
-    }
-    let (mut i, mut j, mut w) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                a[w] = a[i];
-                w += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    a.truncate(w);
-}
-
-/// In-place `*a \= b` with a write cursor.
-fn difference_arrays_inplace(a: &mut Vec<u16>, b: &[u16]) {
-    let mut j = 0;
-    let mut w = 0;
-    for i in 0..a.len() {
-        let v = a[i];
-        while j < b.len() && b[j] < v {
-            j += 1;
-        }
-        if j == b.len() || b[j] != v {
+    } else {
+        for i in 0..a.len() {
+            let v = a[i];
+            let (p, found) = gallop(&b[lo..], v);
+            lo += p;
             a[w] = v;
-            w += 1;
+            w += usize::from(found == (keep == Keep::Hits));
         }
     }
     a.truncate(w);
@@ -1009,20 +1017,6 @@ fn union_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
-}
-
-fn difference_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
-    let mut j = 0;
-    let mut out = Vec::with_capacity(a.len());
-    for &v in a {
-        while j < b.len() && b[j] < v {
-            j += 1;
-        }
-        if j == b.len() || b[j] != v {
-            out.push(v);
-        }
-    }
     out
 }
 
@@ -1254,6 +1248,48 @@ mod tests {
         assert_eq!(w.card, 65536);
         assert!(c.contains(0));
         assert!(c.contains(u16::MAX));
+    }
+
+    #[test]
+    fn gallop_switch_is_where_the_crossover_tests_put_it() {
+        // `tests/prop.rs` builds array pairs one below, at and one above
+        // this switch; retuning the rule means moving it there too.
+        for short in 3..=134 {
+            let switch = 31 * short - 64;
+            assert!(!gallop_pays(short, switch - 1), "{short}");
+            assert!(gallop_pays(short, switch), "{short}");
+        }
+    }
+
+    #[test]
+    fn gallop_and_probe_agree_both_ways() {
+        // Random lows: an odd multiplier permutes the chunk.
+        let lows = |n: u32, from: u32| -> Vec<u16> {
+            let set: std::collections::BTreeSet<u16> = (from..from + n)
+                .map(|i| (i.wrapping_mul(40_503) & 0xFFFF) as u16)
+                .collect();
+            set.into_iter().collect()
+        };
+        let long = lows(3_000, 0);
+        for short in [lows(1, 7), lows(40, 2_990), lows(3_000, 1_500), Vec::new()] {
+            for (a, b) in [(&short, &long), (&long, &short)] {
+                for keep in [Keep::Hits, Keep::Misses] {
+                    let mut galloped = a.clone();
+                    gallop_retain(&mut galloped, b, keep);
+                    let mut probed = a.clone();
+                    let mut bits = [0; WORDS];
+                    mark(&mut bits, b);
+                    retain_in_bits(&mut probed, &bits, keep);
+                    assert_eq!(galloped, probed);
+                    let expect: Vec<u16> = a
+                        .iter()
+                        .copied()
+                        .filter(|v| b.binary_search(v).is_ok() == (keep == Keep::Hits))
+                        .collect();
+                    assert_eq!(probed, expect);
+                }
+            }
+        }
     }
 
     #[test]

@@ -212,30 +212,34 @@ impl Bitmap {
     ///
     /// Intersects cheapest-first (smallest cardinality) so the running result
     /// shrinks as fast as possible; returns the empty bitmap for no inputs.
-    /// The two smallest operands are intersected into a single accumulator
-    /// (the only allocation) and the rest applied with [`Bitmap::and_inplace`],
-    /// short-circuiting the moment the accumulator drains.
     pub fn and_many<'a, I>(bitmaps: I) -> Bitmap
     where
         I: IntoIterator<Item = &'a Bitmap>,
     {
         let mut v: Vec<&Bitmap> = bitmaps.into_iter().collect();
         v.sort_by_key(|b| b.cardinality_hint());
-        match v.first() {
-            None => Bitmap::new(),
-            Some(first) if first.is_empty() => Bitmap::new(),
-            Some(first) if v.len() == 1 => (*first).clone(),
-            Some(first) => {
-                let mut acc = first.and(v[1]);
-                for b in &v[2..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    acc.and_inplace(b);
-                }
-                acc
+        v.split_first().map_or_else(Bitmap::new, |(first, rest)| {
+            Bitmap::and_ordered(first, rest)
+        })
+    }
+
+    /// Conjunction of `first` and `rest`, intersected in the order given,
+    /// so callers that have already ordered their operands skip the sort of
+    /// [`Bitmap::and_many`]. The first two operands are intersected into a
+    /// single accumulator (the only allocation) and the rest applied with
+    /// [`Bitmap::and_inplace`], stopping the moment the accumulator drains.
+    pub fn and_ordered(first: &Bitmap, rest: &[&Bitmap]) -> Bitmap {
+        let Some((second, rest)) = rest.split_first() else {
+            return first.clone();
+        };
+        let mut acc = first.and(second);
+        for b in rest {
+            if acc.is_empty() {
+                break;
             }
+            acc.and_inplace(b);
         }
+        acc
     }
 
     /// Disjunction of many bitmaps.

@@ -258,6 +258,38 @@ proptest! {
             .fold(bitmaps[0].clone(), |acc, b| acc.and(b));
         prop_assert_eq!(Bitmap::and_many(bitmaps.iter()), fold);
     }
+    /// Array × Array ∩ and ∖ at container scale, on both sides of the
+    /// gallop ↔ mark-and-probe switch: every in-place and allocating form,
+    /// the count, the subset test and a chained conjunction agree with the
+    /// model.
+    #[test]
+    fn array_kernels_match_model_across_the_switch((a, b) in array_pair()) {
+        let (ma, mb) = (model(&a), model(&b));
+        let (ba, bb) = (bitmap(&a), bitmap(&b));
+        let and: Vec<u32> = ma.intersection(&mb).copied().collect();
+        let diff: Vec<u32> = ma.difference(&mb).copied().collect();
+        prop_assert_eq!(ba.and(&bb).to_vec(), and.clone());
+        prop_assert_eq!(bb.and(&ba).to_vec(), and.clone());
+        let mut anded = ba.clone();
+        anded.and_inplace(&bb);
+        prop_assert_eq!(anded.to_vec(), and.clone());
+        prop_assert_eq!(ba.and_not(&bb).to_vec(), diff.clone());
+        let mut diffed = ba.clone();
+        diffed.and_not_inplace(&bb);
+        prop_assert_eq!(diffed.to_vec(), diff);
+        let mut back = bb.clone();
+        back.and_not_inplace(&ba);
+        prop_assert_eq!(back.to_vec(), mb.difference(&ma).copied().collect::<Vec<_>>());
+        prop_assert_eq!(ba.and_len(&bb), and.len() as u64);
+        prop_assert_eq!(bb.and_len(&ba), and.len() as u64);
+        prop_assert_eq!(ba.is_subset(&bb), ma.is_subset(&mb));
+        prop_assert!(anded.is_subset(&ba) && anded.is_subset(&bb));
+        // A third operand: the union with every third id dropped.
+        let mc: BTreeSet<u32> = ma.union(&mb).copied().step_by(3).collect();
+        let chained: Vec<u32> = and.iter().copied().filter(|v| mc.contains(v)).collect();
+        let bc: Bitmap = mc.iter().copied().collect();
+        prop_assert_eq!(Bitmap::and_many([&ba, &bb, &bc]).to_vec(), chained);
+    }
 }
 
 fn rank_walk(presence: &Bitmap, ids: &Bitmap) -> Vec<u64> {
@@ -357,4 +389,68 @@ fn id_space_extremes_behave() {
     let mut low = top.slice(0..u32::MAX - 1);
     low.append_disjoint(&[u32::MAX - 1, u32::MAX].into_iter().collect());
     assert_eq!(low, top);
+}
+
+/// Galloping pays for Array × Array once `long >= 31·short - 64`, the
+/// cost rule in `container.rs` (`short · 32 <= short + long + 64`); short
+/// sides of 3..=134 values put that switch inside one container.
+fn gallop_switch(short: usize) -> usize {
+    31 * short - 64
+}
+
+/// Two operands of array containers in one to three chunks (keys 0, 1 and
+/// 65 535). Per chunk the short side has 1..=4096 values and the long side
+/// 1..=128 times as many (at most 4096), or is one below, at or one above
+/// [`gallop_switch`]. Lows are a random permutation of the chunk, the two
+/// sides overlap by a random share, and each side may hold any of the lows
+/// 0, 63, 64 and 65 535.
+fn array_pair() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
+    let lens = prop_oneof![
+        (prop_oneof![1usize..=64, 1usize..=4096], 1usize..=128)
+            .prop_map(|(s, r)| (s, (s * r).min(4096))),
+        (3usize..=134, 0usize..3).prop_map(|(s, d)| (s, gallop_switch(s) + d - 1)),
+    ];
+    let chunk = (
+        (lens, any::<bool>()),
+        (any::<u16>(), 0usize..4096),
+        (0u8..16, 0u8..16),
+    );
+    prop::collection::vec(chunk, 1..=3).prop_map(|chunks| {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (key, (((short, long), a_short), (mul, overlap), (specials_a, specials_b))) in
+            [0u32, 1, 0xFFFF].into_iter().zip(chunks)
+        {
+            let (na, nb) = if a_short {
+                (short, long)
+            } else {
+                (long, short)
+            };
+            // An odd multiplier permutes the chunk; `a` starts part-way
+            // along `b`'s stretch of that permutation.
+            let mul = u32::from(mul) | 1;
+            let lows_b = chunk_lows(nb, mul, 0, specials_b);
+            let lows_a = chunk_lows(na, mul, (overlap % nb.max(1)) as u32, specials_a);
+            a.extend(lows_a.into_iter().map(|l| key << 16 | l));
+            b.extend(lows_b.into_iter().map(|l| key << 16 | l));
+        }
+        (a, b)
+    })
+}
+
+/// `n` distinct sorted lows: the specials picked by `mask`, then
+/// `(i · mul) mod 65 536` for `i = start, start + 1, …`.
+fn chunk_lows(n: usize, mul: u32, start: u32, mask: u8) -> Vec<u32> {
+    let mut lows: BTreeSet<u32> = [0u32, 63, 64, 65_535]
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| mask >> i & 1 == 1)
+        .map(|(_, v)| v)
+        .take(n)
+        .collect();
+    let mut i = start;
+    while lows.len() < n {
+        lows.insert(i.wrapping_mul(mul) & 0xFFFF);
+        i += 1;
+    }
+    lows.into_iter().collect()
 }

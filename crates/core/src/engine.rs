@@ -128,18 +128,6 @@ impl<'r> ColumnSource for &'r MasterRelation {
     }
 }
 
-/// Intersects `acc` with the remaining operands in order, stopping once
-/// the accumulator drains.
-fn and_rest(mut acc: Bitmap, rest: &[&Bitmap]) -> Bitmap {
-    for b in rest {
-        if acc.is_empty() {
-            break;
-        }
-        acc.and_inplace(b);
-    }
-    acc
-}
-
 /// Intersects the plan's bitmaps, already ordered cheapest-first. When
 /// `shards > 1` it splits the record space into `shards` horizontal ranges
 /// and evaluates them on worker threads. The per-shard conjunctions touch
@@ -147,8 +135,8 @@ fn and_rest(mut acc: Bitmap, rest: &[&Bitmap]) -> Bitmap {
 /// exactly the serial intersection.
 ///
 /// Only the cheapest operand is sliced per shard. The slice confines the
-/// accumulator to the shard's record range, after which in-place ANDs with
-/// the *whole* remaining bitmaps stay range-confined for free. A shard whose
+/// conjunction to the shard's record range, so [`Bitmap::and_ordered`] with
+/// the *whole* remaining bitmaps stays range-confined for free. A shard whose
 /// accumulator drains skips its remaining operands entirely.
 fn and_many_sharded(ordered: &[&Bitmap], record_count: u64, shards: usize) -> Bitmap {
     let mut sp = graphbi_obs::span("phase.structural");
@@ -160,7 +148,7 @@ fn and_many_sharded(ordered: &[&Bitmap], record_count: u64, shards: usize) -> Bi
             let parts = crate::parallel::run_indexed(ranges.len(), shards, |s| {
                 let mut shard_sp = graphbi_obs::span("shard.structural");
                 shard_sp.attr("shard", s as u64);
-                let acc = and_rest(first.slice(ranges[s].clone()), rest);
+                let acc = Bitmap::and_ordered(&first.slice(ranges[s].clone()), rest);
                 shard_sp.attr("matches", acc.len());
                 acc
             });
@@ -173,8 +161,7 @@ fn and_many_sharded(ordered: &[&Bitmap], record_count: u64, shards: usize) -> Bi
             }
             out
         }
-        [only] => (*only).clone(),
-        [first, second, rest @ ..] => and_rest(first.and(second), rest),
+        [first, rest @ ..] => Bitmap::and_ordered(first, rest),
     };
     sp.attr("matches", out.len());
     out
