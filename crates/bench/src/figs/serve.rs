@@ -1,14 +1,9 @@
-//! Service-layer benchmark (the PR-7 tentpole measurement).
+//! Service-layer benchmark.
 //!
 //! Drives the TCP server with 1, 8 and 32 concurrent client connections
-//! over the Zipf graph workload, in two server configurations:
-//!
-//! * **dispatch**: `batch_max = 1` — every admitted request is its own
-//!   `evaluate_many` call, the one-request-per-dispatch baseline;
-//! * **batched**: `batch_max = 64` — requests arriving concurrently on
-//!   *different connections* coalesce into shared batches, so the
-//!   engine's duplicate-request elimination and shared planning work
-//!   across the network exactly as in-process.
+//! over the Zipf graph workload. Each connection executes its own
+//! requests on its own server thread, under an admission gate wide
+//! enough that no request is refused.
 //!
 //! Every served response is checked bit-identical (canonical wire text)
 //! against the in-process `Session` answer before any timing is
@@ -18,7 +13,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use graphbi::{GraphStore, QueryRequest, Session, SharedStore};
+use graphbi::{GraphStore, MvccStore, QueryRequest, Session};
 use graphbi_obs::Histogram;
 use graphbi_serve::{Client, ServeConfig, ServeStore, Server};
 
@@ -36,36 +31,22 @@ struct Run {
     clients: usize,
     p50_us: f64,
     p99_us: f64,
-    /// `evaluate_many` dispatches the batcher issued.
-    batches: u64,
-    /// Requests those dispatches answered.
-    requests: u64,
     identical: bool,
     /// Wall-clock for the whole run — the recorder-overhead comparison.
     wall_s: f64,
 }
 
-impl Run {
-    fn mean_batch(&self) -> f64 {
-        self.requests as f64 / (self.batches as f64).max(1.0)
-    }
-}
-
 fn run_config(
-    store: &SharedStore,
+    store: &Arc<MvccStore>,
     reqs: &Arc<Vec<QueryRequest>>,
     expected: &Arc<Vec<String>>,
     mode: &'static str,
     clients: usize,
     cfg: ServeConfig,
 ) -> Run {
-    let server = Server::start(ServeStore::Shared(store.clone()), "127.0.0.1:0", cfg)
+    let server = Server::start(ServeStore::Mvcc(Arc::clone(store)), "127.0.0.1:0", cfg)
         .expect("server starts");
     let addr = server.addr();
-
-    let reg = graphbi_obs::global();
-    let batches_before = reg.counter("graphbi_serve_batches_total").get();
-    let requests_before = reg.counter("graphbi_serve_batched_requests_total").get();
 
     // All client threads record into one atomic histogram — the same
     // power-of-two buckets the server's METRICS/TOP report, so figure
@@ -104,20 +85,17 @@ fn run_config(
         clients,
         p50_us: snap.quantile(0.50) as f64 / 1e3,
         p99_us: snap.quantile(0.99) as f64 / 1e3,
-        batches: reg.counter("graphbi_serve_batches_total").get() - batches_before,
-        requests: reg.counter("graphbi_serve_batched_requests_total").get() - requests_before,
         identical,
         wall_s,
     }
 }
 
 /// Runs the benchmark; returns `false` when any served answer differed
-/// from in-process, or when the batched server failed to coalesce
-/// cross-connection requests under contention.
+/// from in-process.
 pub fn run() -> bool {
     let d = ny(10_000);
     let qs = zipf_queries(&d, 100);
-    let store = SharedStore::new(GraphStore::load(d.universe, &d.records));
+    let store = Arc::new(MvccStore::new_mem(GraphStore::load(d.universe, &d.records)));
     let reqs: Arc<Vec<QueryRequest>> =
         Arc::new(qs.iter().map(|q| QueryRequest::new(q.clone())).collect());
     let expected: Arc<Vec<String>> = Arc::new(
@@ -129,9 +107,9 @@ pub fn run() -> bool {
             .collect(),
     );
 
-    // Best of three runs per configuration (same convention as fig6),
-    // applied symmetrically to both modes: scheduler jitter at the
-    // millisecond scale otherwise dominates the tail percentiles.
+    // Best of three runs per client count (same convention as fig6):
+    // scheduler jitter at the millisecond scale otherwise dominates the
+    // tail percentiles.
     let best = |mode: &'static str, clients: usize, cfg: &dyn Fn() -> ServeConfig| {
         let trials: Vec<Run> = (0..3)
             .map(|_| run_config(&store, &reqs, &expected, mode, clients, cfg()))
@@ -149,19 +127,17 @@ pub fn run() -> bool {
         kept.identical = all_identical;
         kept
     };
-    let base = |batch_max: usize| ServeConfig {
-        batch_max,
+    let base = || ServeConfig {
         queue_depth: 1024,
         ..ServeConfig::default()
     };
-    let mut runs = Vec::new();
-    for &clients in &CLIENTS {
-        runs.push(best("dispatch", clients, &|| base(1)));
-        runs.push(best("batched", clients, &|| base(64)));
-    }
+    let runs: Vec<Run> = CLIENTS
+        .iter()
+        .map(|&clients| best("inline", clients, &base))
+        .collect();
 
-    // Recorder overhead on the unsampled fast path: the same batched
-    // 8-client workload with the flight recorder disabled (capacity 0)
+    // Recorder overhead on the unsampled fast path: the same 8-client
+    // workload with the flight recorder disabled (capacity 0)
     // vs armed with head sampling off — every request pays the full
     // per-request decision cost (rid assignment, sampler, slow check)
     // but none is captured. Head-sampled requests are deliberately NOT
@@ -181,7 +157,7 @@ pub fn run() -> bool {
             ServeConfig {
                 flight_capacity: 0,
                 sample_every: 0,
-                ..base(64)
+                ..base()
             },
         ));
         ons.push(run_config(
@@ -192,7 +168,7 @@ pub fn run() -> bool {
             8,
             ServeConfig {
                 sample_every: 0,
-                ..base(64)
+                ..base()
             },
         ));
     }
@@ -210,17 +186,8 @@ pub fn run() -> bool {
     let overhead_pct = (rec_on.wall_s - rec_off.wall_s) / rec_off.wall_s.max(1e-9) * 100.0;
 
     let mut t = Table::new(
-        "Service layer: per-request latency, dispatch (batch_max=1) vs batched (batch_max=64)",
-        &[
-            "mode",
-            "clients",
-            "p50_us",
-            "p99_us",
-            "dispatches",
-            "requests",
-            "mean_batch",
-            "identical",
-        ],
+        "Service layer: per-request latency by concurrent connections",
+        &["mode", "clients", "p50_us", "p99_us", "identical"],
     );
     for r in runs.iter().chain([&rec_off, &rec_on]) {
         t.row(vec![
@@ -228,15 +195,12 @@ pub fn run() -> bool {
             r.clients.to_string(),
             fmt(r.p50_us),
             fmt(r.p99_us),
-            r.batches.to_string(),
-            r.requests.to_string(),
-            format!("{:.2}", r.mean_batch()),
             r.identical.to_string(),
         ]);
     }
     t.emit("serve");
     println!(
-        "recorder overhead (8 clients, batched): off {:.3}s, on {:.3}s, {overhead_pct:+.2}%",
+        "recorder overhead (8 clients): off {:.3}s, on {:.3}s, {overhead_pct:+.2}%",
         rec_off.wall_s, rec_on.wall_s
     );
 
@@ -251,16 +215,8 @@ pub fn run() -> bool {
         let _ = writeln!(
             json,
             "    {{\"mode\": \"{}\", \"clients\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"dispatches\": {}, \"requests\": {}, \"mean_batch\": {:.2}, \
              \"identical\": {}}}{comma}",
-            r.mode,
-            r.clients,
-            r.p50_us,
-            r.p99_us,
-            r.batches,
-            r.requests,
-            r.mean_batch(),
-            r.identical,
+            r.mode, r.clients, r.p50_us, r.p99_us, r.identical,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -280,17 +236,8 @@ pub fn run() -> bool {
     }
 
     let identical = runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
-    // Under contention the batched server must actually coalesce: the
-    // 32-client batched run needs fewer dispatches than requests.
-    let coalesced = runs
-        .iter()
-        .filter(|r| r.mode == "batched" && r.clients >= 32)
-        .all(|r| r.batches < r.requests);
     if !identical {
         eprintln!("serve bench: a served answer differed from in-process");
     }
-    if !coalesced {
-        eprintln!("serve bench: no cross-connection batching observed at 32 clients");
-    }
-    identical && coalesced
+    identical
 }

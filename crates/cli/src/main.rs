@@ -42,8 +42,8 @@ const USAGE: &str = "usage:
   graphbi explain <dir> \"<query>\"
   graphbi profile <dir> \"<query>\" [--json <file>]   (EXPLAIN ANALYZE)
   graphbi advise <dir> <budget> \"<query>\" [\"<query>\" ...]
-  graphbi serve <dir> <addr> [--mvcc] [--slowlog-file <path>]
-                             [--slow-ms <n>] [--sample <n>]
+  graphbi serve <dir> <addr> [--slowlog-file <path>] [--slow-ms <n>]
+                             [--sample <n>]
   graphbi connect <addr> query \"<query>\"
   graphbi connect <addr> insert <edge>:<measure> [...]
   graphbi connect <addr> profile \"<query>\"
@@ -369,16 +369,14 @@ fn advise(args: &[String]) -> Result<(), String> {
 fn serve(args: &[String]) -> Result<(), String> {
     let [dir, addr, flags @ ..] = args else {
         return Err(
-            "serve needs: <dir> <addr> [--mvcc] [--slowlog-file <path>] [--slow-ms <n>] [--sample <n>]"
+            "serve needs: <dir> <addr> [--slowlog-file <path>] [--slow-ms <n>] [--sample <n>]"
                 .into(),
         );
     };
-    let mut mvcc = false;
     let mut cfg = graphbi_serve::ServeConfig::default();
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--mvcc" => mvcc = true,
             "--slowlog-file" => {
                 let path = it.next().ok_or("--slowlog-file needs a path")?;
                 cfg.slowlog_export = Some(graphbi_serve::SlowlogExport {
@@ -402,24 +400,13 @@ fn serve(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown serve flag {other:?}")),
         }
     }
-    let store = open(&PathBuf::from(dir))?;
-    let store = if mvcc {
-        // MVCC sessions: readers pin snapshots while commits proceed.
-        graphbi_serve::ServeStore::Mvcc(std::sync::Arc::new(graphbi::MvccStore::new_mem(store)))
-    } else {
-        graphbi_serve::ServeStore::Shared(graphbi::SharedStore::new(store))
-    };
+    // Sessions pin MVCC snapshots, so readers stay stable while commits
+    // proceed.
+    let store = graphbi::MvccStore::new_mem(open(&PathBuf::from(dir))?);
+    let store = graphbi_serve::ServeStore::Mvcc(std::sync::Arc::new(store));
     let server = graphbi_serve::Server::start(store, addr, cfg)
         .map_err(|e| format!("binding {addr}: {e}"))?;
-    println!(
-        "serving on {} ({})",
-        server.addr(),
-        if mvcc {
-            "mvcc snapshots"
-        } else {
-            "shared store"
-        }
-    );
+    println!("serving on {}", server.addr());
     server.wait();
     Ok(())
 }
@@ -537,10 +524,9 @@ fn render_top_text(snapshot: &str) -> Result<String, String> {
     };
     let mut out = String::new();
     out.push_str(&format!(
-        "connections {:>8}   queue depth {:>6}   in-flight batch {:>5}\n",
+        "connections {:>8}   admitted    {:>6}\n",
         num("connections"),
-        num("queue_depth"),
-        num("inflight_batch")
+        num("queue_depth")
     ));
     out.push_str(&format!(
         "generation  {:>8}   epoch       {:>6}   kernel {}\n",

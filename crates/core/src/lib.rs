@@ -56,13 +56,11 @@ pub mod disk;
 mod engine;
 pub mod errcode;
 mod explain;
-mod groups;
 pub mod mvcc;
 pub mod numtext;
 pub mod parallel;
 pub mod ql;
 mod session;
-mod shared;
 mod statistics;
 mod store;
 mod topk;
@@ -72,10 +70,8 @@ mod wire;
 pub use engine::EvalOptions;
 pub use errcode::{Coded, ErrorCode};
 pub use explain::{PhaseStat, Plan, Profile, PHASE_NAMES};
-pub use groups::GroupIndex;
 pub use mvcc::{MvccStore, Snapshot};
 pub use session::{QueryRequest, RequestKind, Response, Session, SessionError};
-pub use shared::{SharedSnapshot, SharedStore};
 pub use statistics::{EdgeSelectivity, StoreStatistics};
 pub use store::GraphStore;
 pub use topk::RankedRecord;

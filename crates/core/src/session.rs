@@ -2,11 +2,11 @@
 //!
 //! Evaluation used to sprawl into `evaluate`/`evaluate_with`,
 //! `path_aggregate`/`path_aggregate_with`, … pairs duplicated across
-//! [`crate::GraphStore`], [`crate::disk::DiskGraphStore`] and
-//! [`crate::SharedStore`]. A [`QueryRequest`] folds the three knobs — the
-//! query itself, the [`EvalOptions`] plan mode and the record-shard count —
-//! into one builder, and the [`Session`] trait is the single entry point
-//! every backend implements:
+//! [`crate::GraphStore`] and [`crate::disk::DiskGraphStore`]. A
+//! [`QueryRequest`] folds the three knobs — the query itself, the
+//! [`EvalOptions`] plan mode and the record-shard count — into one
+//! builder, and the [`Session`] trait is the single entry point every
+//! backend implements:
 //!
 //! ```
 //! use graphbi::{EvalOptions, GraphQuery, GraphStore, QueryRequest, Session, Universe};
@@ -35,8 +35,8 @@
 //! and disk stores share one batch body, `evaluate_batch`: duplicate
 //! requests are answered once, and the distinct ones run on a worker pool.
 //! The disk store adds a per-batch pin map so each column is fetched at
-//! most once per batch. [`crate::SharedStore`] runs a whole batch under a
-//! single read-lock snapshot.
+//! most once per batch. An [`crate::MvccStore`] [`crate::Snapshot`] runs a
+//! whole batch as of one pinned `(generation, epoch)`.
 
 use graphbi_bitmap::Bitmap;
 use graphbi_columnstore::IoStats;
@@ -212,8 +212,9 @@ impl From<DiskError> for SessionError {
 /// A backend that answers [`QueryRequest`]s.
 ///
 /// Implemented by [`crate::GraphStore`] (in-memory),
-/// [`crate::disk::DiskGraphStore`] (disk-resident) and
-/// [`crate::SharedStore`] (concurrent). Every implementation returns the
+/// [`crate::disk::DiskGraphStore`] (disk-resident), and
+/// [`crate::MvccStore`] and its [`crate::Snapshot`]s (concurrent, under
+/// snapshot isolation). Every implementation returns the
 /// same answers for the same database — the differential test matrix in
 /// `graphbi-testkit` drives them all through this trait.
 pub trait Session {

@@ -314,9 +314,8 @@ impl Client {
         self.query(&request)
     }
 
-    /// Executes many requests in one frame; the server may coalesce them
-    /// (and concurrent requests from other connections) into shared
-    /// batches. Answers come back in request order.
+    /// Executes many requests in one frame, which the server answers with
+    /// one `evaluate_many` call. Answers come back in request order.
     pub fn batch(&mut self, requests: &[QueryRequest]) -> Result<Vec<Response>, ClientError> {
         self.frame.clear();
         let _ = writeln!(self.frame, "BATCH {}", requests.len());

@@ -30,7 +30,7 @@
 //!
 //! Failure frames are single lines: `ERR <code> <SYMBOL> <message> id=<rid>`
 //! with a stable [`ErrorCode`], and `BUSY <code> <message>` when the
-//! admission queue stayed full for the whole timeout (the backpressure
+//! admission gate stayed full for the whole timeout (the backpressure
 //! signal — retry later). Commit op lines are `insert <edge>:<measure>…`
 //! and `update <rid> <edge>:<measure>…`.
 

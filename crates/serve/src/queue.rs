@@ -1,204 +1,210 @@
-//! The admission-controlled bounded queue at the heart of the server.
+//! Admission control: the server's single backpressure point.
 //!
-//! Every connection funnels its requests here; a single batcher drains
-//! runs of compatible jobs into one `evaluate_many` call. The queue is
-//! the backpressure point: depth is fixed at construction, and an
-//! [`AdmissionQueue::offer`] that cannot place its item within the
-//! admission timeout returns it to the caller — which answers the client
-//! with a typed `BUSY` instead of buffering unboundedly.
+//! Requests execute on their own connection's thread, but at most `depth`
+//! of them at once. [`AdmissionGate::admit`] hands out a [`Permit`] when a
+//! slot is free, waiting at most the admission timeout for one; when none
+//! frees up in time the caller answers its client with a typed `BUSY`
+//! instead of piling more work onto the executor. A permit gives its slot
+//! back when dropped — also during a panic unwind — so a failed request
+//! can never leak capacity.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (two condvars: producers wait
-//! on `not_full`, the consumer on `not_empty`), so the server adds no
+//! Built on `std::sync::{Mutex, Condvar}`, so the server adds no
 //! dependencies beyond the standard library.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-struct Inner<T> {
-    items: VecDeque<T>,
+struct State {
+    /// Permits currently out.
+    held: usize,
+    /// Callers blocked in [`AdmissionGate::admit`]; a released permit
+    /// wakes one only when someone waits.
+    waiting: usize,
     closed: bool,
 }
 
-/// A bounded MPSC queue with timed admission and keyed batch draining.
-pub struct AdmissionQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+/// A counting gate: at most `depth` permits are out at any time.
+pub struct AdmissionGate {
+    state: Mutex<State>,
+    freed: Condvar,
     depth: usize,
 }
 
-/// Why an [`AdmissionQueue::offer`] failed; the item comes back so the
-/// caller can still answer its client.
-#[derive(Debug)]
-pub enum OfferError<T> {
-    /// The queue stayed full for the whole admission timeout.
-    Full(T),
-    /// The queue is shut down.
-    Closed(T),
+/// Why an [`AdmissionGate::admit`] failed.
+#[derive(Debug, PartialEq, Eq)]
+pub enum AdmitError {
+    /// Every slot stayed taken for the whole admission timeout.
+    Full,
+    /// The gate is shut down.
+    Closed,
 }
 
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `depth` waiting items.
-    pub fn new(depth: usize) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
+/// One admitted request's slot; dropping it frees the slot.
+#[must_use = "the slot is released as soon as the permit is dropped"]
+pub struct Permit<'a> {
+    gate: &'a AdmissionGate,
+}
+
+impl AdmissionGate {
+    /// A gate admitting at most `depth` concurrent requests.
+    pub fn new(depth: usize) -> AdmissionGate {
+        AdmissionGate {
+            state: Mutex::new(State {
+                held: 0,
+                waiting: 0,
                 closed: false,
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            freed: Condvar::new(),
             depth: depth.max(1),
         }
     }
 
-    /// Current queue depth (for gauges).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
+    /// The state lock. No code panics while holding it, but a permit
+    /// dropped during an unwind must still be able to give its slot back,
+    /// so a poisoned lock is used as is.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// True when no items wait.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Permits currently out (for gauges).
+    pub fn held(&self) -> usize {
+        self.lock().held
     }
 
-    /// Tries to enqueue `item`, waiting at most `timeout` for space.
-    pub fn offer(&self, item: T, timeout: Duration) -> Result<(), OfferError<T>> {
+    /// Takes a slot, waiting at most `timeout` for one to free up.
+    pub fn admit(&self, timeout: Duration) -> Result<Permit<'_>, AdmitError> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("queue lock");
+        let mut state = self.lock();
         loop {
-            if inner.closed {
-                return Err(OfferError::Closed(item));
+            if state.closed {
+                return Err(AdmitError::Closed);
             }
-            if inner.items.len() < self.depth {
-                inner.items.push_back(item);
-                drop(inner);
-                self.not_empty.notify_one();
-                return Ok(());
+            if state.held < self.depth {
+                state.held += 1;
+                return Ok(Permit { gate: self });
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(OfferError::Full(item));
+                return Err(AdmitError::Full);
             }
-            let (guard, _timeout) = self
-                .not_full
-                .wait_timeout(inner, deadline - now)
-                .expect("queue lock");
-            inner = guard;
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            state.waiting -= 1;
         }
     }
 
-    /// Takes the next run of compatible jobs: the front item plus the
-    /// following items for which `same(front, item)` holds, up to `max`.
-    /// Order within the queue is preserved (a run never jumps over an
-    /// incompatible item, so no request is starved or reordered past a
-    /// barrier). Blocks while the queue is empty; returns `None` only
-    /// after [`AdmissionQueue::close`] once every queued item has been
-    /// drained — nothing is dropped unanswered.
-    pub fn take_batch(&self, max: usize, same: impl Fn(&T, &T) -> bool) -> Option<Vec<T>> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(front) = inner.items.pop_front() {
-                // Spans the run-assembly walk only (not the empty-queue
-                // wait), so a trace shows what coalescing itself costs.
-                // Free when the calling thread has no collector installed.
-                let mut sp = graphbi_obs::span("queue.assemble");
-                let mut batch = vec![front];
-                while batch.len() < max.max(1) {
-                    match inner.items.front() {
-                        Some(next) if same(&batch[0], next) => {
-                            let next = inner.items.pop_front().expect("front exists");
-                            batch.push(next);
-                        }
-                        _ => break,
-                    }
-                }
-                sp.attr("size", batch.len() as u64);
-                sp.attr("queued", inner.items.len() as u64);
-                drop(inner);
-                self.not_full.notify_all();
-                return Some(batch);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock");
-        }
-    }
-
-    /// Shuts the queue down: subsequent offers fail fast, and
-    /// [`AdmissionQueue::take_batch`] drains what remains then returns
-    /// `None`.
+    /// Shuts the gate: waiters and later callers fail with
+    /// [`AdmitError::Closed`]. Permits already out stay valid.
     pub fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+        self.lock().closed = true;
+        self.freed.notify_all();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.gate.lock();
+        state.held -= 1;
+        let wake = state.waiting > 0;
+        drop(state);
+        if wake {
+            self.gate.freed.notify_one();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Returns once `n` callers are blocked inside `admit`.
+    fn until_waiting(gate: &AdmissionGate, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gate.lock().waiting != n {
+            assert!(Instant::now() < deadline, "no caller blocked in admit");
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
-    fn offer_times_out_when_full() {
-        let q = AdmissionQueue::new(2);
-        q.offer(1, Duration::from_millis(1)).unwrap();
-        q.offer(2, Duration::from_millis(1)).unwrap();
+    fn admit_times_out_when_full() {
+        let gate = AdmissionGate::new(2);
+        let _a = gate.admit(Duration::from_millis(1)).unwrap();
+        let _b = gate.admit(Duration::from_millis(1)).unwrap();
         let started = Instant::now();
-        match q.offer(3, Duration::from_millis(30)) {
-            Err(OfferError::Full(3)) => {}
-            other => panic!("expected Full, got {other:?}"),
-        }
+        assert_eq!(
+            gate.admit(Duration::from_millis(30)).err(),
+            Some(AdmitError::Full)
+        );
         assert!(started.elapsed() >= Duration::from_millis(30));
-        assert_eq!(q.len(), 2);
+        assert_eq!(gate.held(), 2);
     }
 
     #[test]
-    fn take_batch_groups_compatible_runs() {
-        let q = AdmissionQueue::new(16);
-        for key in [1, 1, 1, 2, 1] {
-            q.offer(key, Duration::from_millis(1)).unwrap();
-        }
-        let same = |a: &i32, b: &i32| a == b;
-        assert_eq!(q.take_batch(8, same), Some(vec![1, 1, 1]));
-        assert_eq!(q.take_batch(8, same), Some(vec![2]));
-        assert_eq!(q.take_batch(8, same), Some(vec![1]));
+    fn permit_is_released_on_drop() {
+        let gate = AdmissionGate::new(1);
+        let permit = gate.admit(Duration::ZERO).unwrap();
+        assert_eq!(gate.admit(Duration::ZERO).err(), Some(AdmitError::Full));
+        drop(permit);
+        assert_eq!(gate.held(), 0);
+        let _again = gate.admit(Duration::ZERO).expect("the slot came back");
     }
 
     #[test]
-    fn take_batch_respects_max() {
-        let q = AdmissionQueue::new(16);
-        for _ in 0..5 {
-            q.offer(7, Duration::from_millis(1)).unwrap();
-        }
-        assert_eq!(q.take_batch(2, |a, b| a == b), Some(vec![7, 7]));
-        assert_eq!(q.len(), 3);
+    fn permit_is_released_during_panic_unwind() {
+        let gate = AdmissionGate::new(1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _permit = gate.admit(Duration::ZERO).unwrap();
+            panic!("request failed while admitted");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(gate.held(), 0);
+        let _again = gate.admit(Duration::ZERO).expect("the slot came back");
     }
 
     #[test]
-    fn close_drains_then_ends() {
-        let q = Arc::new(AdmissionQueue::new(4));
-        q.offer(1, Duration::from_millis(1)).unwrap();
-        q.close();
-        assert!(matches!(
-            q.offer(2, Duration::from_millis(1)),
-            Err(OfferError::Closed(2))
-        ));
-        assert_eq!(q.take_batch(8, |_, _| true), Some(vec![1]));
-        assert_eq!(q.take_batch(8, |_, _| true), None);
+    fn blocked_admit_wakes_on_release() {
+        let gate = AdmissionGate::new(1);
+        let permit = gate.admit(Duration::ZERO).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let started = Instant::now();
+                (
+                    gate.admit(Duration::from_secs(5)).map(drop),
+                    started.elapsed(),
+                )
+            });
+            until_waiting(&gate, 1);
+            drop(permit);
+            let (admitted, waited) = waiter.join().unwrap();
+            admitted.expect("admitted after the release");
+            assert!(
+                waited < Duration::from_secs(5),
+                "the release did not wake it"
+            );
+        });
+        assert_eq!(gate.held(), 0);
     }
 
     #[test]
-    fn blocked_producer_wakes_on_drain() {
-        let q = Arc::new(AdmissionQueue::new(1));
-        q.offer(1, Duration::from_millis(1)).unwrap();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.offer(2, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.take_batch(1, |_, _| true), Some(vec![1]));
-        t.join().unwrap().expect("offer succeeds after drain");
-        assert_eq!(q.len(), 1);
+    fn close_wakes_waiters() {
+        let gate = AdmissionGate::new(1);
+        let _permit = gate.admit(Duration::ZERO).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let started = Instant::now();
+                (gate.admit(Duration::from_secs(5)).err(), started.elapsed())
+            });
+            until_waiting(&gate, 1);
+            gate.close();
+            let (err, waited) = waiter.join().unwrap();
+            assert_eq!(err, Some(AdmitError::Closed));
+            assert!(waited < Duration::from_secs(5), "close did not wake it");
+        });
+        assert_eq!(gate.admit(Duration::ZERO).err(), Some(AdmitError::Closed));
     }
 }

@@ -69,11 +69,11 @@ pub struct RequestTrace {
     pub generation: u64,
     /// Pinned delta epoch the request ran against.
     pub epoch: u64,
-    /// Time spent waiting in the admission queue, in nanoseconds.
+    /// Time spent waiting for an admission permit, in nanoseconds.
     pub queue_wait_ns: u64,
     /// End-to-end server-side time, in nanoseconds.
     pub total_ns: u64,
-    /// Size of the batch run this request executed in (1 = solo).
+    /// Requests the frame executed (1 for `QUERY`, `k` for `BATCH k`).
     pub batch: u64,
     /// 0 on success, else the stable [`graphbi::ErrorCode`] number.
     pub status: u16,

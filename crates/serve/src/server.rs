@@ -1,60 +1,57 @@
-//! The concurrent TCP server: per-connection sessions over a shared
-//! store, with cross-connection request batching.
+//! The concurrent TCP server: per-connection sessions over one MVCC
+//! store, each executing its own requests.
 //!
 //! # Architecture
 //!
 //! One thread accepts connections; each connection gets a handler thread
-//! that parses frames and *enqueues* query jobs rather than executing
-//! them. A single batcher thread drains the [`AdmissionQueue`] in runs of
-//! jobs pinned to the same store state and answers each run with **one**
-//! [`Session::evaluate_many`] call — so requests arriving concurrently on
-//! different connections share duplicate-elimination, column fetches and
-//! the worker pool exactly like an in-process batch (PR 2's scaling
-//! trick, now across the network).
+//! that parses frames, executes them against the connection's pinned
+//! snapshot and writes the reply. A `QUERY` is one
+//! [`Session::evaluate_many`] call on that thread, a `BATCH` of `k` is one
+//! call with `k` requests — so a batch still shares duplicate elimination,
+//! column fetches and the worker pool exactly like an in-process batch.
+//! A head-sampled singleton runs through [`Session::profile`] instead, so
+//! its captured trace is exact.
 //!
 //! # Sessions and snapshots
 //!
-//! A connection pins its view of the store at `HELLO` time. Over an
-//! [`MvccStore`] that is a real `(generation, epoch)` snapshot: answers
-//! stay stable while writers commit, until the connection `REFRESH`es or
-//! commits itself (read-your-writes). Batching respects pins — only jobs
-//! on the same `(generation, epoch)` coalesce, so a batch can never mix
-//! two points in time.
+//! A connection pins its view of the store at `HELLO` time: a real
+//! `(generation, epoch)` [`Snapshot`] of the [`MvccStore`]. Answers stay
+//! stable while writers commit, until the connection `REFRESH`es or
+//! commits itself (read-your-writes). On a disk store the pin also keeps
+//! the generation's files from garbage collection; it is released when the
+//! connection ends, however it ends.
 //!
 //! # Backpressure state machine
 //!
 //! ```text
-//!             offer(job, admission_timeout)
-//! CLIENT ──▶ queue has room? ──yes──▶ ADMITTED ──▶ batched ──▶ OK …
+//!             admit(admission_timeout)
+//! CLIENT ──▶ fewer than queue_depth executing? ──yes──▶ ADMITTED ──▶ execute ──▶ OK …
 //!                │ no
 //!                ▼ wait ≤ admission_timeout
-//!            room appeared? ──yes──▶ ADMITTED
+//!            a permit freed? ──yes──▶ ADMITTED
 //!                │ no (timeout)
 //!                ▼
 //!            BUSY 210 … (typed, within the timeout; nothing buffered)
 //! ```
 //!
 //! Memory is bounded end-to-end: frame lines are capped
-//! ([`MAX_LINE_BYTES`]), batch counts are capped ([`MAX_BATCH`]), and the
-//! queue holds at most `queue_depth` jobs — overload degrades into
+//! ([`MAX_LINE_BYTES`]), batch counts are capped ([`MAX_BATCH`]), and at
+//! most `queue_depth` requests execute at once — overload degrades into
 //! prompt, typed `BUSY` responses, never into growth.
 
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use graphbi::{
-    Coded, ErrorCode, MvccStore, Profile, QueryRequest, Response, Session, SessionError,
-    SharedStore, Snapshot,
-};
+use graphbi::{Coded, ErrorCode, MvccStore, Profile, QueryRequest, Response, Session, Snapshot};
 use graphbi_columnstore::{DeltaOp, IoStats};
 use graphbi_obs::{json, Counter, Histogram};
 
 use crate::protocol::{self, Verb, MAX_LINE_BYTES, PROTOCOL_VERSION};
-use crate::queue::{AdmissionQueue, OfferError};
+use crate::queue::{AdmissionGate, AdmitError};
 use crate::recorder::{synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport};
 
 /// `SLOWLOG` entry count when the client does not ask for one.
@@ -80,16 +77,11 @@ fn response_matches(resp: &Response) -> u64 {
 /// load; tests tighten them to force the backpressure paths.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Admission queue depth: jobs waiting for the batcher.
+    /// Admission depth: the most `QUERY`/`BATCH` frames executing at once.
     pub queue_depth: usize,
-    /// How long an arriving request may wait for queue space before the
-    /// server answers `BUSY`.
+    /// How long an arriving request may wait for an execution slot before
+    /// the server answers `BUSY`.
     pub admission_timeout: Duration,
-    /// Largest run of jobs coalesced into one `evaluate_many` call.
-    pub batch_max: usize,
-    /// Artificial stall before each batch executes — `0` in production;
-    /// tests and benchmarks raise it to make queueing deterministic.
-    pub batch_delay: Duration,
     /// Socket read poll interval; bounds how fast handler threads notice
     /// shutdown.
     pub read_timeout: Duration,
@@ -123,8 +115,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_depth: 256,
             admission_timeout: Duration::from_millis(100),
-            batch_max: 64,
-            batch_delay: Duration::ZERO,
             read_timeout: Duration::from_millis(100),
             trace: false,
             sample_every: 64,
@@ -150,156 +140,44 @@ impl ServeConfig {
     }
 }
 
-/// The store a server fronts: lock-shared or MVCC.
+/// The store a server fronts. Sessions pin `(generation, epoch)`
+/// snapshots of it; [`MvccStore::new_mem`] serves an in-memory store.
 #[derive(Clone)]
 pub enum ServeStore {
-    /// Reader-writer lock over one [`graphbi::GraphStore`]; sessions pin
-    /// nothing (every query sees the latest state).
-    Shared(SharedStore),
     /// MVCC store; sessions pin `(generation, epoch)` snapshots.
     Mvcc(Arc<MvccStore>),
 }
 
-/// A connection's pinned execution state.
-#[derive(Clone)]
-enum Pinned {
-    Shared(SharedStore),
-    Mvcc(Arc<Snapshot>),
+/// Applies a commit as one MVCC commit, after checking that every edge
+/// id it writes is in the served universe.
+fn commit(store: &MvccStore, ops: &[DeltaOp]) -> Result<(), Refusal> {
+    let edges = store.snapshot().universe().edge_count() as u32;
+    for op in ops {
+        let rec = match op {
+            DeltaOp::Insert(r) => r,
+            DeltaOp::Update(_, r) => r,
+        };
+        if let Some((e, _)) = rec.edges().iter().find(|(e, _)| e.0 >= edges) {
+            return Err(Refusal::Fail(
+                ErrorCode::UnknownEdge,
+                format!("edge id {} is not in the universe (< {edges})", e.0),
+            ));
+        }
+    }
+    store
+        .commit(ops)
+        .map(drop)
+        .map_err(|e| Refusal::Fail(e.code(), e.to_string()))
 }
 
-impl Pinned {
-    /// Jobs coalesce only within one key: the pinned `(generation,
-    /// epoch)`. Shared stores have a single timeline, so every job
-    /// shares key `(0, 0)` — `SharedStore::evaluate_many` still answers
-    /// the whole batch under one read lock.
-    fn batch_key(&self) -> (u64, u64) {
-        match self {
-            Pinned::Shared(_) => (0, 0),
-            Pinned::Mvcc(s) => (s.generation(), s.epoch()),
-        }
-    }
-
-    fn info(&self) -> (u64, u64) {
-        self.batch_key()
-    }
-
-    fn execute(&self, request: &QueryRequest) -> Result<(Response, IoStats), SessionError> {
-        match self {
-            Pinned::Shared(s) => s.execute(request),
-            Pinned::Mvcc(s) => s.execute(request),
-        }
-    }
-
-    fn evaluate_many(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<(Response, IoStats)>, SessionError> {
-        match self {
-            Pinned::Shared(s) => s.evaluate_many(requests),
-            Pinned::Mvcc(s) => s.evaluate_many(requests),
-        }
-    }
-
-    fn profile(
-        &self,
-        request: &QueryRequest,
-    ) -> Result<(Response, graphbi::Profile), SessionError> {
-        match self {
-            Pinned::Shared(s) => s.profile(request),
-            Pinned::Mvcc(s) => s.profile(request),
-        }
-    }
-}
-
-impl ServeStore {
-    fn pin(&self) -> Pinned {
-        match self {
-            ServeStore::Shared(s) => Pinned::Shared(s.clone()),
-            ServeStore::Mvcc(m) => Pinned::Mvcc(Arc::new(m.snapshot())),
-        }
-    }
-
-    fn universe_text(&self) -> String {
-        match self {
-            ServeStore::Shared(s) => s.read(|g| g.universe().to_text()),
-            ServeStore::Mvcc(m) => m.snapshot().universe().to_text(),
-        }
-    }
-
-    fn edge_count(&self) -> usize {
-        match self {
-            ServeStore::Shared(s) => s.read(|g| g.universe().edge_count()),
-            ServeStore::Mvcc(m) => m.snapshot().universe().edge_count(),
-        }
-    }
-
-    /// Applies a commit atomically (one write lock / one MVCC commit).
-    fn commit(&self, ops: &[DeltaOp]) -> Result<(), (ErrorCode, String)> {
-        let edges = self.edge_count() as u32;
-        for op in ops {
-            let rec = match op {
-                DeltaOp::Insert(r) => r,
-                DeltaOp::Update(_, r) => r,
-            };
-            if let Some((e, _)) = rec.edges().iter().find(|(e, _)| e.0 >= edges) {
-                return Err((
-                    ErrorCode::UnknownEdge,
-                    format!("edge id {} is not in the universe (< {edges})", e.0),
-                ));
-            }
-        }
-        match self {
-            ServeStore::Shared(s) => {
-                if ops.iter().any(|op| matches!(op, DeltaOp::Update(..))) {
-                    return Err((
-                        ErrorCode::Unsupported,
-                        "update ops need an MVCC store (serve --mvcc)".into(),
-                    ));
-                }
-                s.write(|g| {
-                    for op in ops {
-                        if let DeltaOp::Insert(rec) = op {
-                            g.append_record(rec);
-                        }
-                    }
-                });
-                Ok(())
-            }
-            ServeStore::Mvcc(m) => match m.commit(ops) {
-                Ok(_epoch) => Ok(()),
-                Err(e) => Err((e.code(), e.to_string())),
-            },
-        }
-    }
-}
-
-/// What the batcher hands back per request: the answer plus the
-/// observability facts the flight recorder needs (measured queue wait,
-/// run size, and — for sampled singletons — the exact profile).
-struct JobOutcome {
-    response: Response,
-    io: IoStats,
-    /// Nanoseconds the job waited in the admission queue.
+/// What one executed `QUERY`/`BATCH` hands back to its connection: the
+/// answers plus the facts the flight recorder needs.
+struct Executed {
+    answers: Vec<(Response, IoStats)>,
+    /// Nanoseconds the request waited for its admission permit.
     wait_ns: u64,
-    /// Size of the run this job executed in (1 = solo).
-    batch: u64,
-    /// Exact profile, present only for sampled singleton runs.
+    /// Exact profile, present only for sampled singletons.
     profile: Option<Profile>,
-}
-
-/// An indexed answer on its way back to the handler that enqueued it.
-type Reply = (usize, Result<JobOutcome, SessionError>);
-
-/// One queued request: where it runs, where its answer goes.
-struct Job {
-    pinned: Pinned,
-    request: QueryRequest,
-    index: usize,
-    /// Head-sampled: the batcher runs this job solo through the profiler
-    /// so its captured trace is exact.
-    sampled: bool,
-    reply: mpsc::Sender<Reply>,
-    enqueued: Instant,
 }
 
 /// Metric handles the hot paths record through — fetched once at server
@@ -309,7 +187,13 @@ struct ServeMetrics {
     commits: Arc<Counter>,
     read_bytes: Arc<Counter>,
     write_bytes: Arc<Counter>,
-    admission_wait_us: Arc<Histogram>,
+    busy: Arc<Counter>,
+    /// One per executed `QUERY`/`BATCH`, and the requests it answered.
+    batches: Arc<Counter>,
+    batched_requests: Arc<Counter>,
+    batch_size: Arc<Histogram>,
+    /// Time spent waiting for an admission permit.
+    queue_wait_us: Arc<Histogram>,
     verb_query_us: Arc<Histogram>,
     verb_batch_us: Arc<Histogram>,
     verb_commit_us: Arc<Histogram>,
@@ -324,7 +208,11 @@ impl ServeMetrics {
             commits: reg.counter("graphbi_serve_commits_total"),
             read_bytes: reg.counter("graphbi_serve_read_bytes_total"),
             write_bytes: reg.counter("graphbi_serve_write_bytes_total"),
-            admission_wait_us: reg.histogram("graphbi_serve_admission_wait_us"),
+            busy: reg.counter("graphbi_serve_busy_total"),
+            batches: reg.counter("graphbi_serve_batches_total"),
+            batched_requests: reg.counter("graphbi_serve_batched_requests_total"),
+            batch_size: reg.histogram("graphbi_serve_batch_size"),
+            queue_wait_us: reg.histogram("graphbi_serve_queue_wait_us"),
             verb_query_us: reg.histogram("graphbi_serve_verb_query_us"),
             verb_batch_us: reg.histogram("graphbi_serve_verb_batch_us"),
             verb_commit_us: reg.histogram("graphbi_serve_verb_commit_us"),
@@ -334,9 +222,9 @@ impl ServeMetrics {
 }
 
 struct Ctx {
-    store: ServeStore,
+    store: Arc<MvccStore>,
     cfg: ServeConfig,
-    queue: AdmissionQueue<Job>,
+    gate: AdmissionGate,
     shutdown: AtomicBool,
     collector: Option<Arc<graphbi_obs::Collector>>,
     /// The universe text served by `HELLO`, rendered once.
@@ -350,7 +238,6 @@ pub struct Server {
     addr: SocketAddr,
     ctx: Arc<Ctx>,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -367,12 +254,13 @@ impl Server {
                 graphbi::kernels::active(),
                 graphbi::kernels::KernelPath::Simd
             )));
-        let hello_text = store.universe_text();
+        let ServeStore::Mvcc(store) = store;
+        let hello_text = store.snapshot().universe().to_text();
         let collector = cfg.trace.then(|| Arc::new(graphbi_obs::Collector::new()));
         let recorder = Recorder::new(cfg.recorder_config());
         let ctx = Arc::new(Ctx {
             store,
-            queue: AdmissionQueue::new(cfg.queue_depth),
+            gate: AdmissionGate::new(cfg.queue_depth),
             cfg,
             shutdown: AtomicBool::new(false),
             collector,
@@ -380,10 +268,6 @@ impl Server {
             recorder,
             metrics: ServeMetrics::new(),
         });
-        let batcher = {
-            let ctx = Arc::clone(&ctx);
-            std::thread::spawn(move || batcher_loop(&ctx))
-        };
         let accept = {
             let ctx = Arc::clone(&ctx);
             std::thread::spawn(move || accept_loop(listener, &ctx))
@@ -392,7 +276,6 @@ impl Server {
             addr: local,
             ctx,
             accept: Some(accept),
-            batcher: Some(batcher),
         })
     }
 
@@ -411,19 +294,17 @@ impl Server {
         &self.ctx.recorder
     }
 
-    /// Stops accepting, drains every queued job (each still gets its
-    /// response), and joins all threads.
+    /// Stops accepting, lets every admitted request finish and answer,
+    /// refuses requests still waiting for admission, and joins all
+    /// threads.
     pub fn shutdown(&mut self) {
         if self.ctx.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // Wake the blocking accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-        self.ctx.queue.close();
+        self.ctx.gate.close();
         if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.batcher.take() {
             let _ = t.join();
         }
     }
@@ -432,9 +313,6 @@ impl Server {
     /// this).
     pub fn wait(mut self) {
         if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.batcher.take() {
             let _ = t.join();
         }
     }
@@ -631,138 +509,186 @@ impl FrameWriter {
     }
 }
 
-/// What a dispatch attempt answers when it cannot produce results.
+/// What a frame is answered with when it cannot produce results.
 enum Refusal {
     Busy(String),
     Fail(ErrorCode, String),
 }
 
-/// Enqueues `requests` for the batcher and collects the answers in
-/// request order. The whole group fails with the first request error —
-/// answers already computed for it are discarded, never half-reported.
-/// A `sampled` singleton is marked so the batcher runs it solo through
-/// the profiler.
+/// Executes `requests` under the connection's pinned snapshot once an
+/// admission permit is held: one `evaluate_many` call, or — for a
+/// `sampled` singleton — one `profile` call, so the captured trace is
+/// exact. The whole group fails with the first request error; answers
+/// already computed for it are discarded, never half-reported.
 fn dispatch(
     ctx: &Ctx,
-    pinned: &Pinned,
-    requests: Vec<QueryRequest>,
+    pinned: &Snapshot,
+    requests: &[QueryRequest],
     sampled: bool,
-) -> Result<Vec<JobOutcome>, Refusal> {
-    let n = requests.len();
-    let (tx, rx) = mpsc::channel();
-    for (index, request) in requests.into_iter().enumerate() {
-        let job = Job {
-            pinned: pinned.clone(),
-            request,
-            index,
-            sampled: sampled && n == 1,
-            reply: tx.clone(),
-            enqueued: Instant::now(),
-        };
-        let offered = Instant::now();
-        let admitted = ctx.queue.offer(job, ctx.cfg.admission_timeout);
-        ctx.metrics
-            .admission_wait_us
-            .record(dur_us(offered.elapsed()));
-        match admitted {
-            Ok(()) => {}
-            Err(OfferError::Full(_)) => {
-                graphbi_obs::global()
-                    .counter("graphbi_serve_busy_total")
-                    .inc();
-                return Err(Refusal::Busy(format!(
-                    "admission queue full ({} deep) for {:?}",
-                    ctx.cfg.queue_depth, ctx.cfg.admission_timeout
-                )));
-            }
-            Err(OfferError::Closed(_)) => {
-                return Err(Refusal::Fail(ErrorCode::Io, "server shutting down".into()))
-            }
+) -> Result<Executed, Refusal> {
+    let asked = Instant::now();
+    let admitted = ctx.gate.admit(ctx.cfg.admission_timeout);
+    let wait_ns = dur_ns(asked.elapsed());
+    ctx.metrics.queue_wait_us.record(wait_ns / 1_000);
+    let _permit = match admitted {
+        Ok(permit) => permit,
+        Err(AdmitError::Full) => {
+            ctx.metrics.busy.inc();
+            return Err(Refusal::Busy(format!(
+                "admission queue full ({} deep) for {:?}",
+                ctx.cfg.queue_depth, ctx.cfg.admission_timeout
+            )));
         }
-    }
-    drop(tx);
-    let mut results: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        match rx.recv_timeout(Duration::from_secs(120)) {
-            Ok((i, Ok(r))) => results[i] = Some(r),
-            Ok((_, Err(e))) => return Err(Refusal::Fail(e.code(), e.to_string())),
-            Err(_) => {
-                return Err(Refusal::Fail(
-                    ErrorCode::Internal,
-                    "batcher reply lost".into(),
-                ))
-            }
-        }
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every index answered"))
-        .collect())
-}
-
-/// Records a failed request into the flight recorder — failure capture is
-/// forced, so the request that errored is always `TRACE`-able afterwards.
-#[allow(clippy::too_many_arguments)]
-fn record_failure(
-    ctx: &Ctx,
-    rid: u64,
-    cid: Option<u64>,
-    verb: &'static str,
-    request: &str,
-    pinned: &Pinned,
-    started: Instant,
-    code: ErrorCode,
-    message: &str,
-) {
-    let (generation, epoch) = pinned.info();
-    let total_ns = dur_ns(started.elapsed());
-    ctx.recorder.observe(
-        RequestTrace {
-            rid,
-            cid,
-            verb,
-            request: request.to_owned(),
-            generation,
-            epoch,
-            queue_wait_ns: 0,
-            total_ns,
-            batch: 1,
-            status: code.as_u16(),
-            error: Some(message.to_owned()),
-            profile: synthesized_profile(IoStats::new(), total_ns, 0),
-        },
-        false,
-    );
-}
-
-/// Answers a [`Refusal`] on the wire and records it into the recorder.
-#[allow(clippy::too_many_arguments)]
-fn refuse(
-    out: &mut FrameWriter,
-    ctx: &Ctx,
-    rid: u64,
-    cid: Option<u64>,
-    verb: &'static str,
-    request: &str,
-    pinned: &Pinned,
-    started: Instant,
-    refusal: Refusal,
-) {
-    let (code, msg) = match refusal {
-        Refusal::Busy(msg) => {
-            out.line(format_args!("{}", protocol::render_busy(&msg)));
-            (ErrorCode::Busy, msg)
-        }
-        Refusal::Fail(code, msg) => {
-            out.err(code, &msg, rid);
-            (code, msg)
+        Err(AdmitError::Closed) => {
+            return Err(Refusal::Fail(ErrorCode::Io, "server shutting down".into()))
         }
     };
-    record_failure(ctx, rid, cid, verb, request, pinned, started, code, &msg);
+    let n = requests.len() as u64;
+    let mut sp = graphbi_obs::span("serve.batch");
+    sp.attr("size", n);
+    ctx.metrics.batches.inc();
+    ctx.metrics.batched_requests.add(n);
+    ctx.metrics.batch_size.record(n);
+    let executed = match requests {
+        [request] if sampled => pinned.profile(request).map(|(response, profile)| Executed {
+            answers: vec![(response, profile.stats)],
+            wait_ns,
+            profile: Some(profile),
+        }),
+        _ => pinned.evaluate_many(requests).map(|answers| Executed {
+            answers,
+            wait_ns,
+            profile: None,
+        }),
+    };
+    executed.map_err(|e| Refusal::Fail(e.code(), e.to_string()))
 }
 
-/// Renders the `TOP` live snapshot as one JSON line: connection and queue
-/// state, per-verb latency quantiles, MVCC position, compaction and byte
+/// A frame's identity for the flight recorder: its id, the client's
+/// correlation id, its verb, the request text it is labelled with (the
+/// first payload line for `BATCH`/`COMMIT`) and when it started.
+struct Frame {
+    rid: u64,
+    cid: Option<u64>,
+    verb: &'static str,
+    request: String,
+    started: Instant,
+}
+
+impl Frame {
+    /// The frame's trace: `batch` requests answered under `pinned`.
+    fn trace(
+        self,
+        pinned: &Snapshot,
+        total_ns: u64,
+        queue_wait_ns: u64,
+        batch: u64,
+        profile: Profile,
+    ) -> RequestTrace {
+        RequestTrace {
+            rid: self.rid,
+            cid: self.cid,
+            verb: self.verb,
+            request: self.request,
+            generation: pinned.generation(),
+            epoch: pinned.epoch(),
+            queue_wait_ns,
+            total_ns,
+            batch,
+            status: 0,
+            error: None,
+            profile,
+        }
+    }
+
+    /// Answers a [`Refusal`] on the wire and records it — failure capture
+    /// is forced, so the request that errored is always `TRACE`-able
+    /// afterwards.
+    fn refuse(self, ctx: &Ctx, out: &mut FrameWriter, pinned: &Snapshot, refusal: Refusal) {
+        let (code, message) = match refusal {
+            Refusal::Busy(message) => {
+                out.line(format_args!("{}", protocol::render_busy(&message)));
+                (ErrorCode::Busy, message)
+            }
+            Refusal::Fail(code, message) => {
+                out.err(code, &message, self.rid);
+                (code, message)
+            }
+        };
+        let total_ns = dur_ns(self.started.elapsed());
+        let profile = synthesized_profile(IoStats::new(), total_ns, 0);
+        let mut trace = self.trace(pinned, total_ns, 0, 1, profile);
+        trace.status = code.as_u16();
+        trace.error = Some(message);
+        ctx.recorder.observe(trace, false);
+    }
+}
+
+/// Answers a `QUERY` or `BATCH` frame: executes its requests under
+/// `pinned`, writes the one reply frame, then hands the recorder its
+/// trace when the recorder will keep it.
+fn answer_queries(
+    ctx: &Ctx,
+    out: &mut FrameWriter,
+    pinned: &Snapshot,
+    frame: Frame,
+    parsed: Result<Vec<QueryRequest>, graphbi::WireError>,
+) -> io::Result<()> {
+    let requests = match parsed {
+        Ok(requests) => requests,
+        Err(e) => {
+            let refusal = Refusal::Fail(ErrorCode::Malformed, e.to_string());
+            frame.refuse(ctx, out, pinned, refusal);
+            return Ok(());
+        }
+    };
+    let k = requests.len();
+    ctx.metrics.requests.add(k as u64);
+    let sampled = ctx.recorder.sample();
+    let done = match dispatch(ctx, pinned, &requests, sampled) {
+        Ok(done) => done,
+        Err(refusal) => {
+            frame.refuse(ctx, out, pinned, refusal);
+            return Ok(());
+        }
+    };
+    let (gen, epoch, rid) = (pinned.generation(), pinned.epoch(), frame.rid);
+    let lines: usize = done.answers.iter().map(|(r, _)| r.line_count()).sum();
+    if frame.verb == "batch" {
+        out.line(format_args!(
+            "OK count={k} generation={gen} epoch={epoch} lines={lines} id={rid}"
+        ));
+    } else {
+        out.line(format_args!(
+            "OK generation={gen} epoch={epoch} lines={lines} id={rid}"
+        ));
+    }
+    for (response, _) in &done.answers {
+        response.write_text(&mut out.buf);
+    }
+    out.send_frame()?;
+    let total_ns = dur_ns(frame.started.elapsed());
+    // Skip trace assembly entirely unless the recorder will keep it — the
+    // unsampled fast path must not pay for a synthesized profile headed
+    // for the floor.
+    if ctx.recorder.should_capture(sampled, total_ns, false) {
+        let profile = done.profile.unwrap_or_else(|| {
+            let mut io = IoStats::new();
+            let mut matches = 0u64;
+            for (response, stats) in &done.answers {
+                io.merge(stats);
+                matches += response_matches(response);
+            }
+            synthesized_profile(io, total_ns, matches)
+        });
+        let trace = frame.trace(pinned, total_ns, done.wait_ns, k as u64, profile);
+        ctx.recorder.observe(trace, sampled);
+    }
+    Ok(())
+}
+
+/// Renders the `TOP` live snapshot as one JSON line: connection and
+/// admission state, per-verb latency quantiles, MVCC position, compaction and byte
 /// counters, and the recorder's own health.
 fn render_top(ctx: &Ctx) -> String {
     use std::fmt::Write as _;
@@ -771,18 +697,14 @@ fn render_top(ctx: &Ctx) -> String {
     let g = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);
     let empty = graphbi_obs::HistSnapshot::default();
     let h = |name: &str| snap.histograms.get(name).unwrap_or(&empty);
-    let (generation, epoch) = match &ctx.store {
-        ServeStore::Shared(_) => (0, 0),
-        ServeStore::Mvcc(m) => (m.generation(), m.epoch()),
-    };
+    let (generation, epoch) = (ctx.store.generation(), ctx.store.epoch());
     let (decided, captured, overwritten, slow, export_errors) = ctx.recorder.stats();
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"connections\":{},\"queue_depth\":{},\"inflight_batch\":{}",
+        "\"connections\":{},\"queue_depth\":{}",
         g("graphbi_serve_connections"),
-        ctx.queue.len(),
-        g("graphbi_serve_inflight_batch")
+        ctx.gate.held()
     );
     let _ = write!(out, ",\"generation\":{generation},\"epoch\":{epoch}");
     let _ = write!(
@@ -850,14 +772,11 @@ fn render_top(ctx: &Ctx) -> String {
     }
     out.push('}');
     let qw = h("graphbi_serve_queue_wait_us");
-    let aw = h("graphbi_serve_admission_wait_us");
     let _ = write!(
         out,
-        ",\"queue_wait_us\":{{\"p50\":{},\"p99\":{}}},\"admission_wait_us\":{{\"p50\":{},\"p99\":{}}}",
+        ",\"queue_wait_us\":{{\"p50\":{},\"p99\":{}}}",
         qw.quantile(0.5),
-        qw.quantile(0.99),
-        aw.quantile(0.5),
-        aw.quantile(0.99)
+        qw.quantile(0.99)
     );
     let bs = h("graphbi_serve_batch_size");
     let _ = write!(
@@ -911,8 +830,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
         out.line(format_args!("{}", protocol::render_err(code, &msg)));
         return out.send_frame();
     }
-    let mut pinned = ctx.store.pin();
-    let (gen, epoch) = pinned.info();
+    let mut pinned = ctx.store.snapshot();
+    let (gen, epoch) = (pinned.generation(), pinned.epoch());
     let hello_rid = ctx.recorder.next_rid();
     out.line(format_args!(
         "OK {PROTOCOL_VERSION} generation={gen} epoch={epoch} lines={} id={hello_rid}",
@@ -951,70 +870,15 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             Verb::Hello(_) => out.err(ErrorCode::Malformed, "HELLO already exchanged", rid),
             Verb::Query { cid, payload } => {
                 sp.attr("requests", 1);
-                match QueryRequest::parse_text(&payload) {
-                    Err(e) => {
-                        let msg = e.to_string();
-                        out.err(ErrorCode::Malformed, &msg, rid);
-                        record_failure(
-                            ctx,
-                            rid,
-                            cid,
-                            "query",
-                            &payload,
-                            &pinned,
-                            started,
-                            ErrorCode::Malformed,
-                            &msg,
-                        );
-                    }
-                    Ok(req) => {
-                        ctx.metrics.requests.inc();
-                        let sampled = ctx.recorder.sample();
-                        match dispatch(ctx, &pinned, vec![req], sampled) {
-                            Ok(mut outcomes) => {
-                                let o = outcomes.pop().expect("one request, one outcome");
-                                let (gen, epoch) = pinned.info();
-                                out.line(format_args!(
-                                    "OK generation={gen} epoch={epoch} lines={} id={rid}",
-                                    o.response.line_count()
-                                ));
-                                o.response.write_text(&mut out.buf);
-                                out.send_frame()?;
-                                let total_ns = dur_ns(started.elapsed());
-                                // Skip trace assembly entirely unless the
-                                // recorder will keep it — the unsampled
-                                // fast path must not pay for clones and a
-                                // synthesized profile headed for the floor.
-                                if ctx.recorder.should_capture(sampled, total_ns, false) {
-                                    let matches = response_matches(&o.response);
-                                    let profile = o.profile.unwrap_or_else(|| {
-                                        synthesized_profile(o.io, total_ns, matches)
-                                    });
-                                    ctx.recorder.observe(
-                                        RequestTrace {
-                                            rid,
-                                            cid,
-                                            verb: "query",
-                                            request: payload,
-                                            generation: gen,
-                                            epoch,
-                                            queue_wait_ns: o.wait_ns,
-                                            total_ns,
-                                            batch: o.batch,
-                                            status: 0,
-                                            error: None,
-                                            profile,
-                                        },
-                                        sampled,
-                                    );
-                                }
-                            }
-                            Err(r) => refuse(
-                                &mut out, ctx, rid, cid, "query", &payload, &pinned, started, r,
-                            ),
-                        }
-                    }
-                }
+                let parsed = QueryRequest::parse_text(&payload).map(|req| vec![req]);
+                let frame = Frame {
+                    rid,
+                    cid,
+                    verb: "query",
+                    request: payload,
+                    started,
+                };
+                answer_queries(ctx, &mut out, &pinned, frame, parsed)?;
                 ctx.metrics.verb_query_us.record(dur_us(started.elapsed()));
             }
             Verb::Batch { count: k, cid } => {
@@ -1024,80 +888,14 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 else {
                     return Ok(());
                 };
-                match parsed {
-                    Err(e) => {
-                        let msg = e.to_string();
-                        out.err(ErrorCode::Malformed, &msg, rid);
-                        record_failure(
-                            ctx,
-                            rid,
-                            cid,
-                            "batch",
-                            &first,
-                            &pinned,
-                            started,
-                            ErrorCode::Malformed,
-                            &msg,
-                        );
-                    }
-                    Ok(reqs) => {
-                        ctx.metrics.requests.add(k as u64);
-                        let sampled = ctx.recorder.sample();
-                        match dispatch(ctx, &pinned, reqs, sampled) {
-                            Ok(outcomes) => {
-                                let lines: usize =
-                                    outcomes.iter().map(|o| o.response.line_count()).sum();
-                                let (gen, epoch) = pinned.info();
-                                out.line(format_args!(
-                                    "OK count={k} generation={gen} epoch={epoch} lines={lines} id={rid}"
-                                ));
-                                for o in &outcomes {
-                                    o.response.write_text(&mut out.buf);
-                                }
-                                out.send_frame()?;
-                                let total_ns = dur_ns(started.elapsed());
-                                if ctx.recorder.should_capture(sampled, total_ns, false) {
-                                    let mut io = IoStats::new();
-                                    let mut matches = 0u64;
-                                    let mut wait_ns = 0u64;
-                                    for o in &outcomes {
-                                        io.merge(&o.io);
-                                        matches += response_matches(&o.response);
-                                        wait_ns = wait_ns.max(o.wait_ns);
-                                    }
-                                    // A 1-request batch rides the sampled
-                                    // singleton path, so its profile is exact.
-                                    let profile = outcomes
-                                        .into_iter()
-                                        .find_map(|o| o.profile)
-                                        .unwrap_or_else(|| {
-                                            synthesized_profile(io, total_ns, matches)
-                                        });
-                                    ctx.recorder.observe(
-                                        RequestTrace {
-                                            rid,
-                                            cid,
-                                            verb: "batch",
-                                            request: first,
-                                            generation: gen,
-                                            epoch,
-                                            queue_wait_ns: wait_ns,
-                                            total_ns,
-                                            batch: k as u64,
-                                            status: 0,
-                                            error: None,
-                                            profile,
-                                        },
-                                        sampled,
-                                    );
-                                }
-                            }
-                            Err(r) => refuse(
-                                &mut out, ctx, rid, cid, "batch", &first, &pinned, started, r,
-                            ),
-                        }
-                    }
-                }
+                let frame = Frame {
+                    rid,
+                    cid,
+                    verb: "batch",
+                    request: first,
+                    started,
+                };
+                answer_queries(ctx, &mut out, &pinned, frame, parsed)?;
                 ctx.metrics.verb_batch_us.record(dur_us(started.elapsed()));
             }
             Verb::Commit(k) => {
@@ -1107,45 +905,33 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 else {
                     return Ok(());
                 };
+                let frame = Frame {
+                    rid,
+                    cid: None,
+                    verb: "commit",
+                    request: first,
+                    started,
+                };
                 let sampled = parsed.is_ok() && ctx.recorder.sample();
                 let committed = parsed
-                    .map_err(|e| (ErrorCode::Malformed, e.to_string()))
-                    .and_then(|ops| ctx.store.commit(&ops));
+                    .map_err(|e| Refusal::Fail(ErrorCode::Malformed, e.to_string()))
+                    .and_then(|ops| commit(&ctx.store, &ops));
                 match committed {
-                    Err((code, msg)) => {
-                        out.err(code, &msg, rid);
-                        record_failure(
-                            ctx, rid, None, "commit", &first, &pinned, started, code, &msg,
-                        );
-                    }
+                    Err(refusal) => frame.refuse(ctx, &mut out, &pinned, refusal),
                     Ok(()) => {
                         ctx.metrics.commits.inc();
                         // Read-your-writes: re-pin past our own commit.
-                        pinned = ctx.store.pin();
-                        let (gen, epoch) = pinned.info();
+                        pinned = ctx.store.snapshot();
+                        let (gen, epoch) = (pinned.generation(), pinned.epoch());
                         out.line(format_args!(
                             "OK generation={gen} epoch={epoch} lines=0 id={rid}"
                         ));
                         out.send_frame()?;
                         let total_ns = dur_ns(started.elapsed());
                         if ctx.recorder.should_capture(sampled, total_ns, false) {
-                            ctx.recorder.observe(
-                                RequestTrace {
-                                    rid,
-                                    cid: None,
-                                    verb: "commit",
-                                    request: first,
-                                    generation: gen,
-                                    epoch,
-                                    queue_wait_ns: 0,
-                                    total_ns,
-                                    batch: k as u64,
-                                    status: 0,
-                                    error: None,
-                                    profile: synthesized_profile(IoStats::new(), total_ns, 0),
-                                },
-                                sampled,
-                            );
+                            let profile = synthesized_profile(IoStats::new(), total_ns, 0);
+                            let trace = frame.trace(&pinned, total_ns, 0, k as u64, profile);
+                            ctx.recorder.observe(trace, sampled);
                         }
                     }
                 }
@@ -1154,53 +940,35 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             Verb::Profile(payload) => {
                 match QueryRequest::parse_text(&payload) {
                     Err(e) => out.err(ErrorCode::Malformed, &e.to_string(), rid),
-                    // Profiling runs solo on the handler thread — a profile
-                    // measures one request, not its luck sharing a batch.
-                    Ok(req) => match pinned.profile(&req) {
-                        Err(e) => {
-                            let msg = e.to_string();
-                            out.err(e.code(), &msg, rid);
-                            record_failure(
-                                ctx,
-                                rid,
-                                None,
-                                "profile",
-                                &payload,
-                                &pinned,
-                                started,
-                                e.code(),
-                                &msg,
-                            );
+                    // PROFILE, like COMMIT, is not admission-gated: it
+                    // runs alone, on demand, under the pinned snapshot.
+                    Ok(req) => {
+                        let frame = Frame {
+                            rid,
+                            cid: None,
+                            verb: "profile",
+                            request: payload,
+                            started,
+                        };
+                        match pinned.profile(&req) {
+                            Err(e) => {
+                                let refusal = Refusal::Fail(e.code(), e.to_string());
+                                frame.refuse(ctx, &mut out, &pinned, refusal);
+                            }
+                            Ok((_, prof)) => {
+                                out.line(format_args!("OK lines=1 id={rid}"));
+                                out.line(format_args!("{}", prof.render_json()));
+                                out.send_frame()?;
+                                let total_ns = dur_ns(started.elapsed());
+                                // A profiled request is always captured: the
+                                // stored Profile is the exact object whose
+                                // JSON just went on the wire, so TRACE
+                                // replays it bit-identically.
+                                let trace = frame.trace(&pinned, total_ns, 0, 1, prof);
+                                ctx.recorder.observe(trace, true);
+                            }
                         }
-                        Ok((_, prof)) => {
-                            out.line(format_args!("OK lines=1 id={rid}"));
-                            out.line(format_args!("{}", prof.render_json()));
-                            out.send_frame()?;
-                            let (gen, epoch) = pinned.info();
-                            let total_ns = dur_ns(started.elapsed());
-                            // A profiled request is always captured: the
-                            // stored Profile is the exact object whose JSON
-                            // just went on the wire, so TRACE replays it
-                            // bit-identically.
-                            ctx.recorder.observe(
-                                RequestTrace {
-                                    rid,
-                                    cid: None,
-                                    verb: "profile",
-                                    request: payload,
-                                    generation: gen,
-                                    epoch,
-                                    queue_wait_ns: 0,
-                                    total_ns,
-                                    batch: 1,
-                                    status: 0,
-                                    error: None,
-                                    profile: prof,
-                                },
-                                true,
-                            );
-                        }
-                    },
+                    }
                 }
                 ctx.metrics
                     .verb_profile_us
@@ -1234,8 +1002,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 out.line(format_args!("{}", render_top(ctx)));
             }
             Verb::Refresh => {
-                pinned = ctx.store.pin();
-                let (gen, epoch) = pinned.info();
+                pinned = ctx.store.snapshot();
+                let (gen, epoch) = (pinned.generation(), pinned.epoch());
                 out.line(format_args!(
                     "OK generation={gen} epoch={epoch} lines=0 id={rid}"
                 ));
@@ -1246,90 +1014,5 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
         }
         out.send_frame()?;
-    }
-}
-
-/// The single batcher: drains compatible runs and answers each with one
-/// `evaluate_many`. On a batch-level error it falls back to per-request
-/// execution so one poisoned request cannot fail its neighbours.
-fn batcher_loop(ctx: &Arc<Ctx>) {
-    let _tracing = ctx.collector.as_ref().map(graphbi_obs::install);
-    let reg = graphbi_obs::global();
-    let batches = reg.counter("graphbi_serve_batches_total");
-    let batched = reg.counter("graphbi_serve_batched_requests_total");
-    let size_hist = reg.histogram("graphbi_serve_batch_size");
-    let wait_hist = reg.histogram("graphbi_serve_queue_wait_us");
-    let depth_gauge = reg.gauge("graphbi_serve_queue_depth");
-    let inflight_gauge = reg.gauge("graphbi_serve_inflight_batch");
-    // Sampled jobs never coalesce: each runs solo through the profiler so
-    // its captured trace is exact, not an estimate of its share of a run.
-    while let Some(batch) = ctx.queue.take_batch(ctx.cfg.batch_max, |a, b| {
-        a.pinned.batch_key() == b.pinned.batch_key() && !a.sampled && !b.sampled
-    }) {
-        depth_gauge.set(ctx.queue.len() as i64);
-        if !ctx.cfg.batch_delay.is_zero() {
-            std::thread::sleep(ctx.cfg.batch_delay);
-        }
-        let mut sp = graphbi_obs::span("serve.batch");
-        sp.attr("size", batch.len() as u64);
-        batches.inc();
-        batched.add(batch.len() as u64);
-        size_hist.record(batch.len() as u64);
-        inflight_gauge.set(batch.len() as i64);
-        let waits: Vec<u64> = batch
-            .iter()
-            .map(|job| dur_ns(job.enqueued.elapsed()))
-            .collect();
-        for wait in &waits {
-            wait_hist.record(wait / 1_000);
-        }
-        let run = batch.len() as u64;
-        if run == 1 && batch[0].sampled {
-            let job = batch.into_iter().next().expect("singleton batch");
-            let sent = match job.pinned.profile(&job.request) {
-                Ok((response, profile)) => Ok(JobOutcome {
-                    response,
-                    io: profile.stats,
-                    wait_ns: waits[0],
-                    batch: 1,
-                    profile: Some(profile),
-                }),
-                Err(e) => Err(e),
-            };
-            let _ = job.reply.send((job.index, sent));
-            inflight_gauge.set(0);
-            continue;
-        }
-        let requests: Vec<QueryRequest> = batch.iter().map(|j| j.request.clone()).collect();
-        match batch[0].pinned.evaluate_many(&requests) {
-            Ok(results) => {
-                for ((job, (response, io)), wait_ns) in batch.into_iter().zip(results).zip(waits) {
-                    let outcome = JobOutcome {
-                        response,
-                        io,
-                        wait_ns,
-                        batch: run,
-                        profile: None,
-                    };
-                    let _ = job.reply.send((job.index, Ok(outcome)));
-                }
-            }
-            Err(_) => {
-                for (job, wait_ns) in batch.into_iter().zip(waits) {
-                    let result =
-                        job.pinned
-                            .execute(&job.request)
-                            .map(|(response, io)| JobOutcome {
-                                response,
-                                io,
-                                wait_ns,
-                                batch: 1,
-                                profile: None,
-                            });
-                    let _ = job.reply.send((job.index, result));
-                }
-            }
-        }
-        inflight_gauge.set(0);
     }
 }

@@ -8,11 +8,14 @@
 //! lives in the process-wide registry, and only a process with no other
 //! server in it can hold the counter to equality.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
-use graphbi::{ErrorCode, GraphStore, QueryRequest, Session, SharedStore};
+use graphbi::{ErrorCode, GraphStore, MvccStore, QueryRequest, Session};
 use graphbi_serve::protocol::{self, PROTOCOL_VERSION};
 use graphbi_serve::{ServeConfig, ServeStore, Server};
 use graphbi_testkit::Scenario;
@@ -74,16 +77,14 @@ impl Raw {
 fn replies_are_byte_identical_to_the_composed_frames() {
     let written = graphbi_obs::global().counter("graphbi_serve_write_bytes_total");
     let scenario = Scenario::generate(7);
-    let store = SharedStore::new(GraphStore::load(
-        scenario.universe.clone(),
-        &scenario.records,
-    ));
+    let load = || GraphStore::load(scenario.universe.clone(), &scenario.records);
+    let base = load();
     let reqs = [
         QueryRequest::new(scenario.queries[0].clone()),
         QueryRequest::expr(scenario.exprs[0].clone()),
         QueryRequest::aggregate(scenario.aggs[0].clone()),
     ];
-    let answers: Vec<_> = store
+    let answers: Vec<_> = base
         .evaluate_many(&reqs)
         .expect("in-process evaluation")
         .into_iter()
@@ -95,7 +96,7 @@ fn replies_are_byte_identical_to_the_composed_frames() {
     // from the handshake's.
     {
         let server = Server::start(
-            ServeStore::Shared(store.clone()),
+            ServeStore::Mvcc(Arc::new(MvccStore::new_mem(load()))),
             "127.0.0.1:0",
             ServeConfig::default(),
         )
@@ -148,16 +149,17 @@ fn replies_are_byte_identical_to_the_composed_frames() {
         received += raw.quit(5);
     }
 
-    // BUSY: one slot in the queue and a batcher that stalls far longer
-    // than the admission timeout. Of three requests on three connections
-    // one executes, one waits in the queue, and one is refused —
-    // whichever order they arrive in.
+    // BUSY: two execution slots and a disk store whose reads stall far
+    // longer than the admission timeout. Of three requests on three
+    // connections two are admitted, and the third is refused — whichever
+    // order they arrive in.
     {
+        let stalling = common::StallStore::new("golden", &base);
+        stalling.stall_reads(Duration::from_millis(400));
+        let generation = stalling.store.generation();
         let cfg = ServeConfig {
-            queue_depth: 1,
+            queue_depth: 2,
             admission_timeout: Duration::from_millis(50),
-            batch_max: 1,
-            batch_delay: Duration::from_millis(800),
             ..ServeConfig::default()
         };
         let busy = format!(
@@ -167,8 +169,12 @@ fn replies_are_byte_identical_to_the_composed_frames() {
                 cfg.queue_depth, cfg.admission_timeout
             ))
         );
-        let server = Server::start(ServeStore::Shared(store.clone()), "127.0.0.1:0", cfg)
-            .expect("server starts");
+        let server = Server::start(
+            ServeStore::Mvcc(Arc::clone(&stalling.store)),
+            "127.0.0.1:0",
+            cfg,
+        )
+        .expect("server starts");
         let mut conns: Vec<Raw> = (0..3).map(|_| Raw::connect(server.addr())).collect();
         for raw in &mut conns {
             raw.send(&format!("HELLO {PROTOCOL_VERSION}\n"));
@@ -186,7 +192,8 @@ fn replies_are_byte_identical_to_the_composed_frames() {
             if head == busy {
                 refused += 1;
             } else {
-                assert!(head.starts_with("OK generation=0 epoch=0 "), "{head:?}");
+                let ok = format!("OK generation={generation} epoch=0 ");
+                assert!(head.starts_with(&ok), "{head:?}");
                 raw.expect(&answers[0].to_text(), "QUERY body");
             }
         }

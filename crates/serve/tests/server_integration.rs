@@ -3,13 +3,20 @@
 //! snapshots while writers commit, and overload must degrade into typed
 //! `BUSY` frames — never into hangs, drops or unbounded buffering.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphbi::{GraphStore, MvccStore, QueryRequest, Session, SharedStore};
+use graphbi::{GraphStore, MvccStore, QueryRequest, Session};
 use graphbi_columnstore::{DeltaOp, Vfs as _};
 use graphbi_serve::{Client, ClientError, ServeConfig, ServeStore, Server};
 use graphbi_testkit::Scenario;
+
+/// `store` as an in-memory MVCC store, ready to serve.
+fn mem(store: GraphStore) -> ServeStore {
+    ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store)))
+}
 
 /// The scenario's full request workload: graph queries, logical
 /// expressions and path aggregations.
@@ -41,12 +48,12 @@ fn mixed_protocol_session_matches_in_process() {
     let scenario = Scenario::generate(7);
     let mut store = GraphStore::load(scenario.universe.clone(), &scenario.records);
     store.advise_views(&scenario.queries, scenario.view_budget);
-    let shared = SharedStore::new(store);
+    let store = Arc::new(MvccStore::new_mem(store));
     let reqs = workload(&scenario);
-    let expected = expected_texts(&shared, &reqs);
+    let expected = expected_texts(store.as_ref(), &reqs);
 
     let server = Server::start(
-        ServeStore::Shared(shared.clone()),
+        ServeStore::Mvcc(Arc::clone(&store)),
         "127.0.0.1:0",
         ServeConfig {
             trace: true,
@@ -84,14 +91,14 @@ fn mixed_protocol_session_matches_in_process() {
     assert!(prof.starts_with('{') && prof.ends_with('}'), "{prof:?}");
 
     // Commit through the wire, then re-query: the inserted record is
-    // visible (shared backend has one timeline; COMMIT re-pins anyway).
-    let before = shared.read(|s| s.record_count());
+    // visible, because COMMIT re-pins the connection past its own write.
+    let before = store.record_count();
     let rec = scenario.records[0].clone();
     client
         .commit(&[DeltaOp::Insert(rec)])
         .expect("commit insert");
-    assert_eq!(shared.read(|s| s.record_count()), before + 1);
-    let fresh = expected_texts(&shared, &reqs[..1]);
+    assert_eq!(store.record_count(), before + 1);
+    let fresh = expected_texts(store.as_ref(), &reqs[..1]);
     assert_eq!(
         client.query(&reqs[0]).expect("post-commit query").to_text(),
         fresh[0]
@@ -141,12 +148,8 @@ fn mixed_protocol_session_matches_in_process() {
 fn hello_version_mismatch_is_refused() {
     let scenario = Scenario::generate(11);
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records[..4]);
-    let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .expect("server starts");
+    let server =
+        Server::start(mem(store), "127.0.0.1:0", ServeConfig::default()).expect("server starts");
 
     use std::io::{BufRead, BufReader, Write};
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
@@ -250,22 +253,26 @@ fn mvcc_readers_race_committing_writer() {
     assert_eq!(total, 3 * 12 * reqs.len() * 2);
 }
 
-/// Overload: a slow batcher plus a tiny queue must produce typed `BUSY`
-/// answers within the admission timeout — while other requests still
-/// succeed and nothing hangs or drops.
+/// Overload: slow requests plus a one-slot admission gate must produce
+/// typed `BUSY` answers within the admission timeout — while other
+/// requests still succeed and nothing hangs or drops.
 #[test]
 fn overload_answers_typed_busy_within_timeout() {
     let scenario = Scenario::generate(3);
-    let store = GraphStore::load(scenario.universe.clone(), &scenario.records);
+    let stalling = common::StallStore::new(
+        "overload",
+        &GraphStore::load(scenario.universe.clone(), &scenario.records),
+    );
+    // Every disk read sleeps, so an admitted request holds its permit
+    // well past the admission timeout.
+    stalling.stall_reads(Duration::from_millis(60));
     let admission_timeout = Duration::from_millis(25);
     let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        ServeStore::Mvcc(Arc::clone(&stalling.store)),
         "127.0.0.1:0",
         ServeConfig {
             queue_depth: 1,
             admission_timeout,
-            batch_max: 1,
-            batch_delay: Duration::from_millis(60),
             ..ServeConfig::default()
         },
     )
@@ -273,7 +280,7 @@ fn overload_answers_typed_busy_within_timeout() {
     let addr = server.addr();
     let req = QueryRequest::new(scenario.queries[0].clone());
 
-    // A lone request succeeds even with the slow batcher.
+    // A lone request succeeds even when it is slow.
     let mut warm = Client::connect(addr).expect("connect");
     warm.query(&req).expect("uncontended query succeeds");
 
@@ -303,8 +310,8 @@ fn overload_answers_typed_busy_within_timeout() {
         let (o, b, elapsed) = c.join().expect("client");
         if b == 1 {
             // BUSY must arrive promptly: the admission wait plus
-            // (generous) scheduling slack, nowhere near the batcher's
-            // drain time for eight serialized 60ms batches.
+            // (generous) scheduling slack, nowhere near the time eight
+            // serialized slow requests take.
             assert!(
                 elapsed < admission_timeout + Duration::from_millis(200),
                 "BUSY took {elapsed:?}"
@@ -313,7 +320,7 @@ fn overload_answers_typed_busy_within_timeout() {
         ok += o;
         busy += b;
     }
-    assert!(busy >= 1, "tiny queue + slow batcher must refuse some of 8");
+    assert!(busy >= 1, "one slot + slow requests must refuse some of 8");
     assert!(ok + busy == 8, "every request got exactly one answer");
 
     // The refusals are visible in the metrics.
@@ -321,24 +328,20 @@ fn overload_answers_typed_busy_within_timeout() {
     assert!(metrics.contains("graphbi_serve_busy_total"), "{metrics}");
 }
 
-/// Cross-connection coalescing: many idle-then-simultaneous clients on
-/// one shared store must land in shared batches, visible in the
-/// counters, with answers still bit-identical.
+/// Six connections querying at once each execute on their own thread and
+/// must all get answers bit-identical to in-process evaluation, each
+/// request executed exactly once.
 #[test]
-fn concurrent_connections_share_batches() {
+fn concurrent_connections_get_identical_answers() {
     let scenario = Scenario::generate(41);
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records);
-    let shared = SharedStore::new(store);
     let reqs = workload(&scenario);
-    let expected = expected_texts(&shared, &reqs);
+    let expected = expected_texts(&store, &reqs);
 
     let mut server = Server::start(
-        ServeStore::Shared(shared),
+        mem(store),
         "127.0.0.1:0",
         ServeConfig {
-            // A small stall per batch lets concurrent arrivals pile up
-            // behind the first, forcing multi-request batches.
-            batch_delay: Duration::from_millis(3),
             // The `graphbi_serve_*` counters are process-global and every
             // test in this binary bumps them concurrently; this server's
             // own collector sees only this server's `serve.batch` spans.
@@ -367,28 +370,22 @@ fn concurrent_connections_share_batches() {
         t.join().expect("client thread");
     }
 
-    // Joining the batcher guarantees its last span has been recorded.
     server.shutdown();
     let trace = server.collector().expect("trace enabled").trace();
-    let batches = trace.count("serve.batch");
-    let served = trace.sum_attr("serve.batch", "size");
-    assert_eq!(served, 24, "every request went through the batcher");
-    assert!(
-        batches < served,
-        "expected some multi-request batches, got {batches} batches for {served} requests"
-    );
+    assert_eq!(trace.count("serve.batch"), 24, "one execution per request");
+    assert_eq!(trace.sum_attr("serve.batch", "size"), 24);
 }
 
 /// `TRACE` must replay a `PROFILE`'s rendering bit-identically — the
 /// stored trace is the same `Profile` object whose JSON went on the wire
-/// — on both the shared-memory and the disk-backed MVCC store. Sampled
-/// queries (solo-profiled by the batcher) must not change any answer.
+/// — on both the in-memory and the disk-backed MVCC store. Sampled
+/// queries (run through the profiler) must not change any answer.
 #[test]
 fn trace_replays_profile_bit_identically_on_mem_and_disk() {
     let scenario = Scenario::generate(13);
     let load = || GraphStore::load(scenario.universe.clone(), &scenario.records);
     let reqs = workload(&scenario);
-    let expected = expected_texts(&SharedStore::new(load()), &reqs);
+    let expected = expected_texts(&load(), &reqs);
 
     let disk_vfs = Arc::new(graphbi_columnstore::FaultVfs::new(0x71e7));
     let disk_dir = std::path::PathBuf::from("/flightdb");
@@ -402,7 +399,7 @@ fn trace_replays_profile_bit_identically_on_mem_and_disk() {
     .expect("open disk store");
 
     let backends = [
-        ("mem", ServeStore::Shared(SharedStore::new(load()))),
+        ("mem", mem(load())),
         ("disk", ServeStore::Mvcc(Arc::new(disk))),
     ];
     for (label, serve_store) in backends {
@@ -410,7 +407,7 @@ fn trace_replays_profile_bit_identically_on_mem_and_disk() {
             serve_store,
             "127.0.0.1:0",
             ServeConfig {
-                // Sample every request: each QUERY runs solo through the
+                // Sample every request: each QUERY runs through the
                 // profiler, the strongest answers-don't-change check.
                 sample_every: 1,
                 ..ServeConfig::default()
@@ -463,7 +460,7 @@ fn slowlog_forces_capture_and_exports_framed_json() {
     let export_path = std::path::PathBuf::from("/slowlog.jsonl");
 
     let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        mem(store),
         "127.0.0.1:0",
         ServeConfig {
             // Head sampling off; a zero threshold makes every request
@@ -577,12 +574,8 @@ fn slowlog_forces_capture_and_exports_framed_json() {
 fn shutdown_is_orderly() {
     let scenario = Scenario::generate(5);
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records[..8]);
-    let mut server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .expect("server starts");
+    let mut server =
+        Server::start(mem(store), "127.0.0.1:0", ServeConfig::default()).expect("server starts");
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
     let req = QueryRequest::new(scenario.queries[0].clone());
@@ -593,4 +586,109 @@ fn shutdown_is_orderly() {
             || Client::connect(addr).is_err(),
         "listener keeps serving after shutdown"
     );
+}
+
+/// A connection's snapshot pins its generation's files against garbage
+/// collection for exactly as long as the connection lasts, however it
+/// ends: by `QUIT`, or by dropping its socket in the middle of a request.
+#[test]
+fn snapshot_pins_return_to_zero_after_quit_and_disconnect() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let scenario = Scenario::generate(19);
+    let vfs = Arc::new(graphbi_columnstore::FaultVfs::new(0x9150));
+    let dir = std::path::PathBuf::from("/pinned");
+    let base = GraphStore::load(scenario.universe.clone(), &scenario.records);
+    graphbi::disk::save_store_with(vfs.as_ref(), &base, &dir).expect("save store");
+    let store = Arc::new(
+        MvccStore::open_disk(
+            &dir,
+            16 << 20,
+            vfs.clone(),
+            graphbi_columnstore::Verify::Checksums,
+        )
+        .expect("open disk store"),
+    );
+    let pinned_gen = store.generation();
+    let prefix = format!("g{pinned_gen:012}-");
+    let pinned_files = || {
+        vfs.list(&dir)
+            .expect("list store dir")
+            .iter()
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(&prefix))
+            })
+            .count()
+    };
+    assert!(pinned_files() > 0, "the live generation has files");
+
+    let server = Server::start(
+        ServeStore::Mvcc(Arc::clone(&store)),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("server starts");
+    let req = QueryRequest::new(scenario.queries[0].clone());
+
+    // Two sessions pin generation G at HELLO: a client that will QUIT and
+    // a raw socket that will vanish mid-request.
+    let mut quitter = Client::connect(server.addr()).expect("client connects");
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    writeln!(raw, "HELLO {}", graphbi_serve::protocol::PROTOCOL_VERSION).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().expect("clone socket"));
+    let mut head = String::new();
+    reader.read_line(&mut head).unwrap();
+    assert!(
+        head.starts_with(&format!(
+            "OK {} generation={pinned_gen} ",
+            graphbi_serve::protocol::PROTOCOL_VERSION
+        )),
+        "{head:?}"
+    );
+    let lines: usize = head
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix("lines="))
+        .and_then(|n| n.parse().ok())
+        .expect("HELLO head carries lines=");
+    for _ in 0..lines {
+        reader.read_line(&mut String::new()).unwrap();
+    }
+
+    // Move the store past G: a commit and a compaction publish a new
+    // generation, and gc must spare G while sessions pin it.
+    store
+        .commit(&[DeltaOp::Insert(scenario.records[0].clone())])
+        .expect("commit");
+    store.compact().expect("compact");
+    assert_ne!(store.generation(), pinned_gen, "compaction republishes");
+    store.gc().expect("gc");
+    assert!(pinned_files() > 0, "gc removed files a session pins");
+    quitter.query(&req).expect("pinned session still answers");
+
+    // QUIT releases one pin; the raw session still holds G.
+    quitter.quit().expect("quit");
+    store.gc().expect("gc");
+    assert!(pinned_files() > 0, "gc removed files the raw session pins");
+
+    // Half a BATCH, then the socket goes away.
+    write!(raw, "BATCH 2\n{}\n", req.to_text()).unwrap();
+    drop(reader);
+    drop(raw);
+
+    // The handler threads notice the ends on their own schedule; once
+    // both are gone nothing pins G and the next sweep collects it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        store.gc().expect("gc");
+        if pinned_files() == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "pins never returned to zero: generation {pinned_gen} still on disk"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

@@ -1,23 +1,12 @@
-//! Batched readers racing a maintenance writer on a [`SharedStore`].
+//! [`MvccStore`] snapshot isolation under concurrent writes.
 //!
 //! The paper's deployments ingest records "on a continuous basis" while
-//! analysts run reporting workloads. Here N reader threads issue *batched*
-//! sharded queries through [`Session::evaluate_many`] while one writer
-//! appends records and materializes views. The store promises each batch a
-//! single consistent snapshot (one read lock for the whole batch), so:
-//!
-//! * every answer inside a batch must describe the same record count —
-//!   a writer's append can never land between two requests of one batch;
-//! * successive batches see monotonically non-decreasing match sets;
-//! * after the writer finishes, every engine answer equals a serial
-//!   reference evaluation.
-//!
-//! The second half tortures [`MvccStore`] snapshot isolation: readers pin
-//! snapshots while a writer commits delta batches and a compactor folds
-//! them into fresh bases, and every pinned answer must be bit-identical
-//! to a serial replay of exactly the pinned epoch — plus a disk flavor
-//! proving generation pinning keeps superseded files alive under GC for
-//! exactly as long as a snapshot reads them.
+//! analysts run reporting workloads. Here readers pin snapshots while a
+//! writer commits delta batches and a compactor folds them into fresh
+//! bases, and every pinned answer must be bit-identical to a serial replay
+//! of exactly the pinned epoch — plus a disk flavor proving generation
+//! pinning keeps superseded files alive under GC for exactly as long as a
+//! snapshot reads them.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -25,151 +14,10 @@ use std::sync::Arc;
 use graphbi::disk::save_store_with;
 use graphbi::{
     AggFn, GraphQuery, GraphStore, MvccStore, PathAggQuery, QueryExpr, QueryRequest, Response,
-    Session, SharedStore,
+    Session,
 };
 use graphbi_columnstore::{DeltaOp, FaultVfs, Verify, Vfs};
 use graphbi_graph::{EdgeId, GraphRecord, RecordBuilder, Universe};
-
-const READERS: usize = 4;
-const BATCHES_PER_READER: usize = 40;
-const APPENDS: usize = 120;
-
-fn seed_store() -> (SharedStore, Vec<EdgeId>) {
-    let mut u = Universe::new();
-    let edges: Vec<EdgeId> = (0..5)
-        .map(|i| u.edge_by_names(&format!("s{i}"), &format!("s{}", i + 1)))
-        .collect();
-    let mut records = Vec::new();
-    for r in 0..300u32 {
-        let mut b = RecordBuilder::new();
-        for (i, &e) in edges.iter().enumerate() {
-            if !(r as usize + i).is_multiple_of(4) {
-                b.add(e, f64::from(r % 17) + 1.0);
-            }
-        }
-        records.push(b.build());
-    }
-    (SharedStore::new(GraphStore::load(u, &records)), edges)
-}
-
-/// One reader batch: the full path query, a sub-path, the full path as an
-/// aggregation — all sharded, answered under one snapshot.
-fn batch(edges: &[EdgeId]) -> Vec<QueryRequest> {
-    let full = GraphQuery::from_edges(vec![edges[0], edges[1]]);
-    let sub = GraphQuery::from_edges(vec![edges[0]]);
-    vec![
-        QueryRequest::new(full.clone()).shards(3),
-        QueryRequest::new(sub).shards(3),
-        QueryRequest::aggregate(PathAggQuery::new(full, AggFn::Sum)).shards(3),
-    ]
-}
-
-/// Match counts of one batch answer:
-/// (full-path records, sub-path records, aggregated records).
-fn counts(answers: &[(Response, graphbi::IoStats)]) -> (usize, usize, usize) {
-    let full = match &answers[0].0 {
-        Response::Records(r) => r.len(),
-        other => panic!("expected records, got {other:?}"),
-    };
-    let sub = match &answers[1].0 {
-        Response::Records(r) => r.len(),
-        other => panic!("expected records, got {other:?}"),
-    };
-    let agg = match &answers[2].0 {
-        Response::Aggregates(a) => a.len(),
-        other => panic!("expected aggregates, got {other:?}"),
-    };
-    (full, sub, agg)
-}
-
-#[test]
-fn batched_readers_race_one_writer() {
-    let (store, edges) = seed_store();
-    let requests = batch(&edges);
-
-    // Serial reference for the initial snapshot.
-    let initial = counts(&store.evaluate_many(&requests).expect("seed batch"));
-
-    std::thread::scope(|scope| {
-        // Writer: append records (every one matching the full path) and
-        // periodically run the view advisor, both under the write lock.
-        {
-            let store = store.clone();
-            let edges = edges.clone();
-            scope.spawn(move || {
-                let workload = vec![GraphQuery::from_edges(vec![edges[0], edges[1]])];
-                for i in 0..APPENDS {
-                    let mut b = RecordBuilder::new();
-                    b.add(edges[0], 2.0)
-                        .add(edges[1], f64::from(i as u32) + 1.0);
-                    store.append_record(&b.build());
-                    if i % 40 == 20 {
-                        store.advise_views(&workload, 2);
-                    }
-                }
-            });
-        }
-
-        // Readers: batched sharded queries, checking snapshot consistency
-        // and monotonicity.
-        for _ in 0..READERS {
-            let store = store.clone();
-            let requests = requests.clone();
-            scope.spawn(move || {
-                let (mut last_full, mut last_sub, mut last_agg) = (0usize, 0usize, 0usize);
-                for _ in 0..BATCHES_PER_READER {
-                    let answers = store.evaluate_many(&requests).expect("reader batch");
-                    let (full, sub, agg) = counts(&answers);
-                    // One snapshot: the aggregation runs the same structural
-                    // match as the full-path query, and every appended record
-                    // contains both path edges and the sub-path edge — so
-                    // within one batch the counts must be mutually consistent.
-                    assert_eq!(
-                        full, agg,
-                        "full-path query and its aggregation disagree within one batch"
-                    );
-                    assert!(
-                        sub >= full,
-                        "sub-path matches ({sub}) fewer than full path ({full}) in one snapshot"
-                    );
-                    // Across batches: append-only ingest means match sets
-                    // only grow.
-                    assert!(full >= last_full, "full-path went backwards");
-                    assert!(sub >= last_sub, "sub-path went backwards");
-                    assert!(agg >= last_agg, "aggregation went backwards");
-                    (last_full, last_sub, last_agg) = (full, sub, agg);
-                }
-            });
-        }
-    });
-
-    // Quiesced: batched answers equal a serial reference evaluation.
-    let final_batch = store.evaluate_many(&requests).expect("final batch");
-    let (full, sub, agg) = counts(&final_batch);
-    assert_eq!(full, initial.0 + APPENDS);
-    assert_eq!(sub, initial.1 + APPENDS);
-    assert_eq!(agg, initial.2 + APPENDS);
-    let serial: Vec<_> = requests
-        .iter()
-        .map(|r| {
-            let serial_req = r.clone().shards(1);
-            store.execute(&serial_req).expect("serial reference")
-        })
-        .collect();
-    for ((batched, batched_stats), (expected, expected_stats)) in final_batch.iter().zip(&serial) {
-        assert_eq!(batched, expected, "batched answer differs from serial");
-        assert_eq!(
-            batched_stats, expected_stats,
-            "batched stats differ from serial"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MVCC snapshot-isolation torture: readers pinned to snapshots race an
-// appending writer and a compactor, and every answer must be bit-identical
-// to a serial replay of exactly the epoch the snapshot pinned.
-// ---------------------------------------------------------------------------
 
 const MVCC_BASE: usize = 120;
 const MVCC_COMMITS: usize = 60;
